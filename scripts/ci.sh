@@ -33,9 +33,11 @@ run_preset default
 
 # Perf smoke: the parallel-primitives sweep at SEA_THREADS=2 (bench_micro
 # --perf-smoke) gates on answers matching naive serial references and on
-# thread monotonicity (2-thread wall <= 1.5x 1-thread wall) — relative
-# checks, never absolute ms thresholds, so the stage is stable on any
-# host. Writes BENCH_micro.json as the machine-readable perf record.
+# thread monotonicity (2-thread wall <= 1.5x 1-thread wall), and the fused
+# k-d probes on byte-equal answers and their speedup over id-materializing
+# probes — relative checks, never absolute ms thresholds, so the stage is
+# stable on any host. Writes BENCH_micro.json as the machine-readable perf
+# record.
 echo "=== [default] perf-smoke (bench_micro --perf-smoke) ==="
 cmake --build --preset default -j "${jobs}" --target bench_micro
 (cd build && ./bench/bench_micro --perf-smoke)

@@ -54,22 +54,33 @@ NodeId Cluster::serving_node(const std::string& name,
   if (lease_router_ != nullptr) {
     const NodeId holder = lease_router_->lease_holder(name, shard);
     if (holder != ShardLeaseRouter::kNoLeaseHolder && holder < num_nodes_ &&
-        !node_down_[holder] && !placement_lost_[holder] &&
-        !breakers_.open_now(holder))
+        available(holder))
       return holder;
   }
   for (std::size_t r = 0; r < replicas; ++r) {
     const NodeId node = holder_of(name, shard, r);
     if (node == ShardPlacementAuthority::kNoHolder || node >= num_nodes_)
       continue;
-    if (!node_down_[node] && !placement_lost_[node] &&
-        !breakers_.open_now(node))
-      return node;
+    if (available(node)) return node;
   }
   throw ShardUnavailable(
       "Cluster::serving_node: no available replica of shard " +
       std::to_string(shard) + " of table " + name + " (replicas=" +
       std::to_string(replicas) + ", down nodes: " + down_nodes_string() + ")");
+}
+
+NodeId Cluster::backup_node(const std::string& name, std::size_t shard,
+                            NodeId serving) const {
+  const std::size_t replicas =
+      std::max<std::size_t>(1, stored(name).spec.replicas);
+  for (std::size_t r = 0; r < replicas; ++r) {
+    const NodeId node = holder_of(name, shard, r);
+    if (node == ShardPlacementAuthority::kNoHolder || node >= num_nodes_ ||
+        node == serving)
+      continue;
+    if (available(node)) return node;
+  }
+  return ShardPlacementAuthority::kNoHolder;
 }
 
 void Cluster::crash_node(NodeId node) {

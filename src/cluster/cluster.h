@@ -208,6 +208,13 @@ class Cluster {
   /// ShardUnavailable when no available copy exists.
   NodeId serving_node(const std::string& name, std::size_t shard) const;
 
+  /// The hedged-read backup for `shard` of `name`: the first holder other
+  /// than `serving`, in serving_node()'s replica order (the placement
+  /// authority's when one is attached) and under its availability rule.
+  /// Returns ShardPlacementAuthority::kNoHolder when no such holder exists.
+  NodeId backup_node(const std::string& name, std::size_t shard,
+                     NodeId serving) const;
+
   // --- crash-restart (src/fault NodeCrash schedules) ---
 
   /// A crash is a down transition that also wipes the node's local state:
@@ -356,6 +363,12 @@ class Cluster {
   /// that rank).
   NodeId holder_of(const std::string& name, std::size_t shard,
                    std::size_t r) const;
+  /// Placement may route to `node`: up, shard copies intact, breaker not
+  /// open and cooling.
+  bool available(NodeId node) const noexcept {
+    return !node_down_[node] && !placement_lost_[node] &&
+           !breakers_.open_now(node);
+  }
 
   std::size_t num_nodes_;
   Network network_;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/log.h"
 #include "common/parallel.h"
 
 namespace sea {

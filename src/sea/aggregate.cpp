@@ -4,15 +4,6 @@
 
 namespace sea {
 
-void AggregateState::add(double t, double u) noexcept {
-  ++count;
-  sum_t += t;
-  sum_tt += t * t;
-  sum_u += u;
-  sum_uu += u * u;
-  sum_tu += t * u;
-}
-
 void AggregateState::merge(const AggregateState& o) noexcept {
   count += o.count;
   sum_t += o.sum_t;

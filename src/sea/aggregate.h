@@ -21,8 +21,16 @@ struct AggregateState {
   double sum_uu = 0.0;   ///< sum of target_col2^2
   double sum_tu = 0.0;   ///< cross sum
 
-  /// Accumulates one qualifying tuple's target values.
-  void add(double t, double u) noexcept;
+  /// Accumulates one qualifying tuple's target values. Inline: it is the
+  /// per-tuple step of every scan and probe fold.
+  void add(double t, double u) noexcept {
+    ++count;
+    sum_t += t;
+    sum_tt += t * t;
+    sum_u += u;
+    sum_uu += u * u;
+    sum_tu += t * u;
+  }
 
   void merge(const AggregateState& o) noexcept;
 

@@ -39,6 +39,36 @@ struct KnnCand {
   double u = 0.0;
 };
 
+/// Fused k-d probe fold: qualifying slots go straight into the aggregate,
+/// reading the slot-ordered target copies (null = no such target). With no
+/// target (COUNT) a wholly covered subtree adds its size in O(1); otherwise
+/// every value is added in walk order — the order range_query returns row
+/// ids in, so the sums are bit-identical to gathering those rows.
+struct SlotFold {
+  const double* t = nullptr;
+  const double* u = nullptr;
+  AggregateState agg;
+
+  bool subtree(std::uint32_t begin, std::uint32_t end) noexcept {
+    if (t != nullptr) return false;
+    agg.count += end - begin;
+    return true;
+  }
+  void run(std::uint32_t begin, std::uint32_t end) noexcept {
+    if (t == nullptr) {
+      agg.count += end - begin;  // add(0, 0) leaves every sum at +0.0
+      return;
+    }
+    AggregateState a = agg;  // a local: the sums stay in registers
+    if (u == nullptr) {
+      for (std::uint32_t s = begin; s < end; ++s) a.add(t[s], 0.0);
+    } else {
+      for (std::uint32_t s = begin; s < end; ++s) a.add(t[s], u[s]);
+    }
+    agg = a;
+  }
+};
+
 /// Per-node grid-build inputs, shared by the uniform and the learned grid
 /// caches so both structures see identical points, domains and cell counts.
 struct GridBuildInput {
@@ -113,7 +143,7 @@ std::string ExactExecutor::colset_key(const std::vector<std::size_t>& cols) {
   return os.str();
 }
 
-const ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
+ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
     const std::vector<std::size_t>& cols) {
   const std::string key = colset_key(cols);
   auto it = index_cache_.find(key);
@@ -127,6 +157,24 @@ const ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
   }
   index_build_ms_ += t.elapsed_ms();
   return index_cache_.emplace(key, std::move(idx)).first->second;
+}
+
+const std::vector<std::vector<double>>& ExactExecutor::slot_targets(
+    NodeIndexes& idx, std::size_t col) {
+  auto it = idx.slot_targets.find(col);
+  if (it != idx.slot_targets.end()) return it->second;
+  // A column copy, not a build: the time stays on the query that needs
+  // it, so index_build_ms() keeps counting tree builds only.
+  std::vector<std::vector<double>> per_node(idx.per_node.size());
+  for (std::size_t n = 0; n < per_node.size(); ++n) {
+    const auto src =
+        cluster_.partition(table_, static_cast<NodeId>(n)).column(col);
+    const auto ids = idx.per_node[n].slot_ids();
+    per_node[n].resize(ids.size());
+    for (std::size_t s = 0; s < ids.size(); ++s)
+      per_node[n][s] = src[static_cast<std::size_t>(ids[s])];
+  }
+  return idx.slot_targets.emplace(col, std::move(per_node)).first->second;
 }
 
 const ExactExecutor::NodeGrids& ExactExecutor::grids_for(
@@ -336,7 +384,7 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
   ExactResult out;
   const bool use_grid = access == ExecParadigm::kCoordinatorGrid;
   const bool use_learned = access == ExecParadigm::kCoordinatorLearned;
-  const NodeIndexes* kd =
+  NodeIndexes* kd =
       (use_grid || use_learned) ? nullptr : &indexes_for(q.subspace_cols);
   const NodeGrids* grid = use_grid ? &grids_for(q.subspace_cols) : nullptr;
   const NodeLearnedGrids* learned =
@@ -356,7 +404,21 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
     examined = cost.points_examined;
     return nn;
   };
-  const auto node_select = [&](std::size_t n, std::uint64_t& examined) {
+  // Range / radius probe of shard `n`, folded into its aggregate. The k-d
+  // path folds during the tree walk over slot-ordered target copies (built
+  // here, before any RPC, on first use); the grids select row ids, then
+  // gather.
+  const bool kd_fold = kd != nullptr &&
+                       q.selection != SelectionType::kNearestNeighbors;
+  const std::vector<std::vector<double>>* kd_t =
+      kd_fold && needs_target(q.analytic) ? &slot_targets(*kd, q.target_col)
+                                          : nullptr;
+  const std::vector<std::vector<double>>* kd_u =
+      kd_fold && needs_second_target(q.analytic)
+          ? &slot_targets(*kd, q.target_col2)
+          : nullptr;
+  const auto node_aggregate = [&](std::size_t n, const Table& part,
+                                  std::uint64_t& examined) {
     if (use_grid || use_learned) {
       GridQueryCost cost;
       std::vector<std::uint64_t> rows;
@@ -370,14 +432,18 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
                    : grid->per_node[n].radius_query(q.ball, &cost);
       }
       examined = cost.points_examined;
-      return rows;
+      return aggregate_rows(part, rows, q);
     }
+    SlotFold fold;
+    if (kd_t != nullptr) fold.t = (*kd_t)[n].data();
+    if (kd_u != nullptr) fold.u = (*kd_u)[n].data();
     KdQueryCost cost;
-    auto rows = q.selection == SelectionType::kRange
-                    ? kd->per_node[n].range_query(q.range, &cost)
-                    : kd->per_node[n].radius_query(q.ball, &cost);
+    if (q.selection == SelectionType::kRange)
+      kd->per_node[n].visit_range(q.range, fold, &cost);
+    else
+      kd->per_node[n].visit_radius(q.ball, fold, &cost);
     examined = cost.points_examined;
-    return rows;
+    return fold.agg;
   };
   CohortSession session(cluster_, coordinator_);
   session.set_deadline(deadline);
@@ -402,16 +468,13 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
       }
     }
   };
-  // Backup holder for hedged reads: the next live replica of `shard`
-  // other than the serving node (kNoBackup when unreplicated).
+  // Backup holder for hedged reads: the next available replica holder of
+  // `shard` other than the serving node (kNoBackup when there is none).
   const auto backup_for = [&](std::size_t shard, NodeId serving) -> NodeId {
-    const PartitionSpec& spec = cluster_.partition_spec(table_);
-    for (std::size_t r = 0; r < spec.replicas; ++r) {
-      const NodeId cand =
-          static_cast<NodeId>((shard + r) % cluster_.num_nodes());
-      if (cand != serving && !cluster_.node_is_down(cand)) return cand;
-    }
-    return CohortSession::kNoBackup;
+    const NodeId backup = cluster_.backup_node(table_, shard, serving);
+    return backup == ShardPlacementAuthority::kNoHolder
+               ? CohortSession::kNoBackup
+               : backup;
   };
 
   if (q.selection == SelectionType::kNearestNeighbors) {
@@ -495,10 +558,10 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
           serving, backup_for(n, serving), req_bytes,
           AggregateState::kWireBytes, [&](NodeId executing) {
             std::uint64_t examined = 0;
-            const std::vector<std::uint64_t> rows = node_select(n, examined);
+            AggregateState agg = node_aggregate(n, part, examined);
             cluster_.account_probe(executing, 1, examined,
                                    examined * part.row_bytes());
-            return aggregate_rows(part, rows, q);
+            return agg;
           });
     });
     total.merge(node_agg);

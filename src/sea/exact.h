@@ -78,6 +78,10 @@ class ExactExecutor {
  private:
   struct NodeIndexes {
     std::vector<KdTree> per_node;
+    /// Target columns copied into each tree's slot order, keyed by column
+    /// and built on first use: the fused probe reads them contiguously.
+    std::unordered_map<std::size_t, std::vector<std::vector<double>>>
+        slot_targets;
   };
   struct NodeGrids {
     std::vector<GridIndex> per_node;
@@ -87,7 +91,10 @@ class ExactExecutor {
   };
 
   static std::string colset_key(const std::vector<std::size_t>& cols);
-  const NodeIndexes& indexes_for(const std::vector<std::size_t>& cols);
+  NodeIndexes& indexes_for(const std::vector<std::size_t>& cols);
+  /// Per-node slot-ordered copies of table column `col` for `idx`.
+  const std::vector<std::vector<double>>& slot_targets(NodeIndexes& idx,
+                                                        std::size_t col);
   const NodeGrids& grids_for(const std::vector<std::size_t>& cols);
   const NodeLearnedGrids& learned_for(const std::vector<std::size_t>& cols);
 
@@ -98,7 +105,7 @@ class ExactExecutor {
   ExactResult execute_indexed(const AnalyticalQuery& query,
                               ExecParadigm access, QueryDeadline* deadline);
 
-  /// Scans `rows` of a partition and accumulates qualifying tuples.
+  /// Accumulates the qualifying tuples `rows` (grid paths) of a partition.
   AggregateState aggregate_rows(const Table& part,
                                 const std::vector<std::uint64_t>& rows,
                                 const AnalyticalQuery& q) const;

@@ -7,7 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -342,14 +341,6 @@ TEST(ThreadPool, ShutdownIsIdempotent) {
   pool.shutdown();
   pool.shutdown();  // second call must be a harmless no-op
   EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(Log, LevelFiltering) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  set_log_level(old);
 }
 
 }  // namespace

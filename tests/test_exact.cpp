@@ -3,6 +3,8 @@
 // argues (P3).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "sea/exact.h"
 #include "test_util.h"
 
@@ -213,6 +215,89 @@ TEST(ExactExecutor, StateCarriesMergeableAggregate) {
   const auto r = exec.execute(q, ExecParadigm::kCoordinatorIndexed);
   EXPECT_EQ(r.state.count, r.qualifying_tuples);
   EXPECT_NEAR(r.state.finalize(AnalyticType::kAvg), r.answer, 1e-12);
+}
+
+// Accounting pin for the k-d indexed path: a fixed range/radius/kNN x
+// COUNT/SUM/AVG/VAR/CORR query stream over two partitionings. The answers
+// (bit patterns), qualifying tuples, modelled ExecReport columns and the
+// cluster's AccessStats are folded into one FNV-1a digest; the golden
+// values were captured from the materialize-then-gather implementation
+// the fused probe replaced, so any drift in answers or accounting fails.
+struct PinFold {
+  std::uint64_t h = 1469598103934665603ull;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+};
+
+TEST(ExactExecutor, KdIndexedAccountingPinned) {
+  const Table t = small_dataset(20000, 2, 41);
+  PinFold fold;
+  std::uint64_t qualifying = 0;
+  AccessStats stats;
+  for (const Partitioning scheme :
+       {Partitioning::kRoundRobin, Partitioning::kRangeColumn}) {
+    PartitionSpec spec;
+    spec.scheme = scheme;
+    spec.partition_column = 0;
+    Cluster c = testing::make_cluster(t, "t", 4, spec);
+    ExactExecutor exec(c, "t");
+    const Rect domain = exec.domain({0, 1});
+    Rng rng(4242);
+    for (const SelectionType sel :
+         {SelectionType::kRange, SelectionType::kRadius,
+          SelectionType::kNearestNeighbors}) {
+      for (const AnalyticType an :
+           {AnalyticType::kCount, AnalyticType::kSum, AnalyticType::kAvg,
+            AnalyticType::kVariance, AnalyticType::kCorrelation}) {
+        for (int i = 0; i < 6; ++i) {
+          AnalyticalQuery q = make_query(Case{sel, an}, rng, domain);
+          if (i % 3 == 2) {  // wide probes: whole subtrees fall inside
+            for (std::size_t d = 0; d < 2; ++d) {
+              if (sel == SelectionType::kRange) {
+                q.range.lo[d] -= 1.0;
+                q.range.hi[d] += 1.0;
+              }
+            }
+            q.ball.radius *= 6.0;
+          }
+          const ExactResult r =
+              exec.execute(q, ExecParadigm::kCoordinatorIndexed);
+          fold.f64(r.answer);
+          fold.u64(r.qualifying_tuples);
+          fold.u64(r.state.count);
+          for (const double v : {r.state.sum_t, r.state.sum_tt, r.state.sum_u,
+                                 r.state.sum_uu, r.state.sum_tu})
+            fold.f64(v);
+          const ExecReport& rep = r.report;
+          for (const double v :
+               {rep.modelled_network_ms, rep.modelled_network_ms_critical,
+                rep.modelled_overhead_ms, rep.modelled_backoff_ms})
+            fold.f64(v);
+          for (const std::uint64_t v :
+               {rep.shuffle_bytes, rep.result_bytes, rep.map_tasks,
+                rep.reduce_tasks, rep.rpc_round_trips})
+            fold.u64(v);
+          qualifying += r.qualifying_tuples;
+        }
+      }
+    }
+    stats.merge(c.stats());
+  }
+  fold.u64(stats.rows_scanned);
+  fold.u64(stats.bytes_read);
+  fold.u64(stats.index_probes);
+  fold.u64(stats.node_touches);
+  fold.f64(stats.modelled_overhead_ms);
+  EXPECT_EQ(qualifying, 979522ull);
+  EXPECT_EQ(stats.rows_scanned, 1016499ull);
+  EXPECT_EQ(stats.bytes_read, 24395976ull);
+  EXPECT_EQ(stats.index_probes, 646ull);
+  EXPECT_EQ(fold.h, 0xb09990cb96d3cb69ull) << std::hex << fold.h;
 }
 
 }  // namespace

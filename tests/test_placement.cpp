@@ -27,6 +27,7 @@
 #include "placement/shard_space.h"
 #include "placement/sim.h"
 #include "recovery/chaos.h"
+#include "sea/exact.h"
 #include "test_util.h"
 
 namespace sea::placement {
@@ -227,6 +228,100 @@ TEST(Authority, ClusterServingNodeWalksTheRing) {
   cluster.set_node_down(primary, true);
   EXPECT_EQ(cluster.serving_node("t", 2), secondary);
   cluster.set_node_down(primary, false);
+  cluster.set_placement_authority(nullptr);
+}
+
+// Hedged reads follow the placement authority: after a migration
+// override moves a shard's primary, the hedge backup must be another real
+// holder of that shard, never a static (shard + r) % N neighbour.
+TEST(Authority, HedgedReadsGoToRealHolders) {
+  Table table = small_dataset(1600, 2, 13);
+  Cluster cluster(4, Network::single_zone(4));
+  PartitionSpec spec;
+  spec.replicas = 2;
+  cluster.load_table("t", table, spec);
+  RingPlacementAuthority authority(4);
+  cluster.set_placement_authority(&authority);
+  const auto holders = [&](std::size_t shard) {
+    return std::set<NodeId>{authority.shard_holder("t", shard, 0),
+                            authority.shard_holder("t", shard, 1)};
+  };
+  // Move some shard's primary onto a node whose static neighbour walk
+  // names a non-holder as the backup. Shards 0 and 1 warm each query's
+  // fresh round-trip history (min_samples below), so only later shards
+  // can hedge: search from the last. Node 0 is the coordinator, whose
+  // local round trips never straggle.
+  std::size_t shard = 4;
+  for (std::size_t s = 4; s-- > 2 && shard == 4;) {
+    for (NodeId x = 1; x < 4; ++x) {
+      authority.set_primary_override("t", s, x);
+      const std::set<NodeId> h = holders(s);
+      const NodeId static_backup =
+          static_cast<NodeId>(s) != x ? static_cast<NodeId>(s)
+                                      : static_cast<NodeId>((s + 1) % 4);
+      if (h.count(static_backup) == 0) {
+        shard = s;
+        break;
+      }
+      authority.clear_override("t", s);
+    }
+  }
+  ASSERT_LT(shard, 4u) << "no override exposes the static walk";
+  ASSERT_GE(shard, 2u);
+  const NodeId serving = cluster.serving_node("t", shard);
+  const NodeId backup = cluster.backup_node("t", shard, serving);
+  EXPECT_NE(backup, serving);
+  EXPECT_EQ(holders(shard).count(backup), 1u);
+  // Unavailable holders are skipped, as serving_node skips them.
+  cluster.set_node_down(backup, true);
+  EXPECT_EQ(cluster.backup_node("t", shard, serving),
+            ShardPlacementAuthority::kNoHolder);
+  cluster.set_node_down(backup, false);
+
+  // End to end: spiked request legs hedge; every hedge (a child span of
+  // the shard's rpc span) targets a holder of that shard. Shards are
+  // probed in order, one rpc each, so rpc k of a query serves shard k.
+  HedgeConfig hc;
+  hc.enabled = true;
+  hc.quantile = 0.9;
+  hc.multiplier = 1.2;
+  hc.min_samples = 2;
+  cluster.set_hedge_config(hc);
+  obs::Tracer tracer;
+  cluster.set_observability(&tracer, nullptr);
+  FaultPlan plan;
+  plan.seed = 23;
+  plan.spike_probability = 0.3;
+  plan.spike_multiplier = 20.0;
+  FaultInjector inj(plan);
+  inj.attach(cluster);
+  ExactExecutor exec(cluster, "t");
+  for (int i = 0; i < 40; ++i) {
+    const auto q = testing::range_count_query(0.01 * i, 0.01 * i + 0.5,
+                                              0.1, 0.9);
+    const auto res = exec.execute(q, ExecParadigm::kCoordinatorIndexed);
+    EXPECT_EQ(res.qualifying_tuples, res.state.count);
+  }
+  inj.detach(cluster);
+  cluster.set_observability(nullptr, nullptr);
+  const auto& spans = tracer.spans();
+  std::vector<std::size_t> rpc_rank(spans.size(), 0);
+  std::size_t next_rank = 0;
+  std::uint64_t moved_shard_hedges = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const std::string name = spans[i].name;
+    if (name == "exact") next_rank = 0;
+    if (name == "rpc") rpc_rank[i] = next_rank++;
+    if (name != "hedge") continue;
+    const auto parent = spans[i].parent;
+    ASSERT_NE(parent, obs::kNoSpan);
+    ASSERT_STREQ(spans[parent].name, "rpc");
+    const std::size_t s = rpc_rank[parent];
+    if (s == shard) ++moved_shard_hedges;
+    EXPECT_EQ(holders(s).count(static_cast<NodeId>(spans[i].node)), 1u)
+        << "hedge for shard " << s << " went to node " << spans[i].node;
+  }
+  EXPECT_GT(moved_shard_hedges, 0u) << "the moved shard must hedge";
   cluster.set_placement_authority(nullptr);
 }
 
