@@ -22,7 +22,6 @@
 #include "data/generator.h"
 #include "exec/mapreduce.h"
 #include "index/bloom.h"
-#include "index/count_min.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "index/learned.h"
@@ -258,16 +257,6 @@ void BM_BloomProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BloomProbe);
-
-void BM_CountMinAdd(benchmark::State& state) {
-  CountMinSketch cm(0.001, 0.01);
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    cm.add(key++ % 4096);
-    benchmark::DoNotOptimize(cm.total());
-  }
-}
-BENCHMARK(BM_CountMinAdd);
 
 void BM_AggregateMerge(benchmark::State& state) {
   Rng rng(13);

@@ -12,7 +12,9 @@
 # plus a perf-smoke stage after the default preset: bench_micro
 # --perf-smoke gates the parallel primitives against naive serial
 # references (relative, host-speed-independent) and writes
-# BENCH_micro.json
+# BENCH_micro.json; then the serving-benchmark self-test
+# (perfbench/selftest.py) checks serve_batch answer digests agree at
+# SEA_THREADS 1/1/2 and traced
 # Usage: scripts/ci.sh  (from anywhere; no arguments)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,6 +43,13 @@ run_preset default
 echo "=== [default] perf-smoke (bench_micro --perf-smoke) ==="
 cmake --build --preset default -j "${jobs}" --target bench_micro
 (cd build && ./bench/bench_micro --perf-smoke)
+
+# Serving determinism end to end: one short episode of every perfbench
+# workload, twice at SEA_THREADS=1, once at 2 and once traced — answer
+# digests and deterministic metrics must agree. Builds its own harness
+# into .bench_build/.
+echo "=== [default] serving self-test (perfbench/selftest.py) ==="
+python3 perfbench/selftest.py
 
 # ASan aborts the process on its first report; UBSan prints and continues
 # unless halt_on_error is set — force both fatal so ctest sees a failure.

@@ -215,6 +215,14 @@ class Cluster {
   NodeId backup_node(const std::string& name, std::size_t shard,
                      NodeId serving) const;
 
+  /// The r-th replica holder of `shard` of `name` — the one placement walk
+  /// every replica-order consumer (serving, hedging, lease grants) shares:
+  /// the attached placement authority's answer when one is set, else the
+  /// static (shard + r) % N neighbor. Needs no loaded table. May return
+  /// ShardPlacementAuthority::kNoHolder (callers skip that rank).
+  NodeId holder_of(const std::string& name, std::size_t shard,
+                   std::size_t r) const;
+
   // --- crash-restart (src/fault NodeCrash schedules) ---
 
   /// A crash is a down transition that also wipes the node's local state:
@@ -357,12 +365,6 @@ class Cluster {
   /// the bytes shipped, or 0 — leaving the node placement-lost — when any
   /// copy lacks a live donor.
   std::uint64_t rebuild_placement(NodeId node);
-  /// The r-th replica holder of `shard` of `name`: the attached placement
-  /// authority's answer when one is set, else the static (shard + r) % N
-  /// neighbor. May return ShardPlacementAuthority::kNoHolder (callers skip
-  /// that rank).
-  NodeId holder_of(const std::string& name, std::size_t shard,
-                   std::size_t r) const;
   /// Placement may route to `node`: up, shard copies intact, breaker not
   /// open and cooling.
   bool available(NodeId node) const noexcept {

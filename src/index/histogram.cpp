@@ -1,79 +1,11 @@
 #include "index/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "common/parallel.h"
 #include "common/primitives.h"
 
 namespace sea {
-
-EquiWidthHistogram::EquiWidthHistogram(double lo, double hi,
-                                       std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (buckets == 0)
-    throw std::invalid_argument("EquiWidthHistogram: buckets must be > 0");
-  if (hi <= lo)
-    throw std::invalid_argument("EquiWidthHistogram: hi must exceed lo");
-}
-
-std::size_t EquiWidthHistogram::bucket_of(double v) const noexcept {
-  const double frac = (v - lo_) / (hi_ - lo_);
-  const auto b = static_cast<std::int64_t>(
-      std::floor(frac * static_cast<double>(counts_.size())));
-  return static_cast<std::size_t>(std::clamp<std::int64_t>(
-      b, 0, static_cast<std::int64_t>(counts_.size()) - 1));
-}
-
-void EquiWidthHistogram::add(double v) noexcept {
-  ++counts_[bucket_of(v)];
-  ++total_;
-}
-
-void EquiWidthHistogram::add_all(std::span<const double> values) noexcept {
-  // Bulk path: bucketize in parallel, then add the (exact, integer)
-  // two-pass parallel histogram — identical counts to the per-value loop.
-  std::vector<std::uint32_t> bucket(values.size());
-  ParallelChunks(values.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      bucket[i] = static_cast<std::uint32_t>(bucket_of(values[i]));
-  });
-  const std::vector<std::uint64_t> bulk =
-      par::histogram(bucket, counts_.size());
-  for (std::size_t b = 0; b < counts_.size(); ++b) counts_[b] += bulk[b];
-  total_ += values.size();
-}
-
-std::uint64_t EquiWidthHistogram::bucket_count(std::size_t b) const {
-  if (b >= counts_.size())
-    throw std::out_of_range("EquiWidthHistogram::bucket_count");
-  return counts_[b];
-}
-
-double EquiWidthHistogram::estimate_range(double a, double b) const noexcept {
-  if (b < a || total_ == 0) return 0.0;
-  a = std::max(a, lo_);
-  b = std::min(b, hi_);
-  if (b < a) return 0.0;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double est = 0.0;
-  const std::size_t first = bucket_of(a);
-  const std::size_t last = bucket_of(b);
-  for (std::size_t i = first; i <= last; ++i) {
-    const double blo = lo_ + static_cast<double>(i) * width;
-    const double bhi = blo + width;
-    const double overlap =
-        std::max(0.0, std::min(b, bhi) - std::max(a, blo));
-    est += static_cast<double>(counts_[i]) * (overlap / width);
-  }
-  return est;
-}
-
-double EquiWidthHistogram::selectivity(double a, double b) const noexcept {
-  return total_ == 0 ? 0.0
-                     : estimate_range(a, b) / static_cast<double>(total_);
-}
 
 EquiDepthHistogram::EquiDepthHistogram(std::span<const double> values,
                                        std::size_t buckets) {

@@ -15,40 +15,6 @@
 
 namespace sea {
 
-/// Equi-width histogram over [lo, hi].
-class EquiWidthHistogram {
- public:
-  EquiWidthHistogram() = default;
-  EquiWidthHistogram(double lo, double hi, std::size_t buckets);
-
-  void add(double v) noexcept;
-  void add_all(std::span<const double> values) noexcept;
-
-  std::size_t buckets() const noexcept { return counts_.size(); }
-  std::uint64_t total() const noexcept { return total_; }
-  double lo() const noexcept { return lo_; }
-  double hi() const noexcept { return hi_; }
-  std::uint64_t bucket_count(std::size_t b) const;
-
-  /// Estimated number of values in [a, b] assuming uniformity per bucket.
-  double estimate_range(double a, double b) const noexcept;
-
-  /// Fraction of total mass in [a, b].
-  double selectivity(double a, double b) const noexcept;
-
-  /// Serialized size in bytes (for synopsis-shipping cost accounting).
-  std::size_t byte_size() const noexcept {
-    return sizeof(double) * 2 + counts_.size() * sizeof(std::uint64_t);
-  }
-
- private:
-  std::size_t bucket_of(double v) const noexcept;
-
-  double lo_ = 0.0, hi_ = 1.0;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Equi-depth histogram built from a (sorted copy of a) sample: bucket
 /// boundaries hold ~equal counts, which is far more robust under skew.
 class EquiDepthHistogram {

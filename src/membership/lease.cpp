@@ -137,21 +137,16 @@ void LeaseDirectory::try_grant(std::size_t shard, std::uint64_t tick) {
   ShardLease& l = leases_[shard];
   const NodeId prev_holder = l.holder;
   const bool had_holder = l.epoch != 0;
-  // Candidates in replica-placement order, like static failover: the
-  // attached placement authority's ring order when the cluster has one,
-  // else the static (shard + r) % N walk. A migration-installed preferred
-  // holder goes first (deduplicated from the rest of the walk).
-  const ShardPlacementAuthority* authority = cluster_.placement_authority();
+  // Candidates in the cluster's replica-placement order (holder_of), like
+  // static failover. A migration-installed preferred holder goes first
+  // (deduplicated from the rest of the walk).
   const NodeId preferred = preferred_[shard];
   std::vector<NodeId> order;
   order.reserve(cluster_.num_nodes() + 1);
   if (preferred != kNoLeaseHolder && preferred < cluster_.num_nodes())
     order.push_back(preferred);
   for (std::size_t r = 0; r < cluster_.num_nodes(); ++r) {
-    const NodeId cand =
-        authority != nullptr
-            ? authority->shard_holder(table_, shard, r)
-            : static_cast<NodeId>((shard + r) % cluster_.num_nodes());
+    const NodeId cand = cluster_.holder_of(table_, shard, r);
     if (cand == ShardPlacementAuthority::kNoHolder ||
         cand >= cluster_.num_nodes() || cand == preferred)
       continue;

@@ -2,9 +2,17 @@
 
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sea {
+namespace {
+
+/// Placement name the lease-less baseline walks replicas under (the sim
+/// serves one abstract table; E18 leases it under the same name).
+const std::string kSimTable = "sim";
+
+}  // namespace
 
 PartitionServingSim::PartitionServingSim(Cluster& cluster,
                                          FaultInjector& injector,
@@ -122,12 +130,12 @@ void PartitionServingSim::serve_with_lease(NodeId entry, std::uint32_t shard,
 void PartitionServingSim::serve_without_lease(NodeId entry,
                                               std::uint32_t shard,
                                               std::uint64_t tick) {
-  // Static failover by the entry's own membership view: first replica
-  // holder the entry believes alive and can reach serves as authority —
-  // with no fencing, which is exactly the defect being measured.
+  // Failover by the entry's own membership view down the cluster's replica
+  // walk: first holder the entry believes alive and can reach serves as
+  // authority — with no fencing, which is exactly the defect being measured.
   for (std::size_t r = 0; r < config_.replicas; ++r) {
-    const NodeId cand =
-        static_cast<NodeId>((shard + r) % cluster_.num_nodes());
+    const NodeId cand = cluster_.holder_of(kSimTable, shard, r);
+    if (cand >= cluster_.num_nodes()) continue;  // incl. kNoHolder
     if (!membership_.alive_in_view(entry, cand)) continue;
     if (cand != entry && !message(entry, cand, config_.query_bytes))
       continue;  // timeout: the entry fails over to the next replica

@@ -1,7 +1,6 @@
 #include "ml/linear.h"
 
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 namespace sea {
@@ -148,34 +147,6 @@ double LinearModel::predict(std::span<const double> x) const {
   if (!fitted()) throw std::logic_error("LinearModel::predict before fit");
   if (x.size() != weights_.size())
     throw std::invalid_argument("LinearModel::predict: dims");
-  double v = intercept_;
-  for (std::size_t i = 0; i < weights_.size(); ++i) v += weights_[i] * x[i];
-  return v;
-}
-
-SgdLinearModel::SgdLinearModel(std::size_t dims, double learning_rate,
-                               double l2)
-    : weights_(dims, 0.0), lr_(learning_rate), l2_(l2) {
-  if (dims == 0)
-    throw std::invalid_argument("SgdLinearModel: dims must be > 0");
-}
-
-void SgdLinearModel::update(std::span<const double> x, double y) {
-  if (x.size() != weights_.size())
-    throw std::invalid_argument("SgdLinearModel::update: dims");
-  const double err = predict(x) - y;
-  // Decaying step size keeps the model stable over long streams.
-  const double step =
-      lr_ / (1.0 + 1e-3 * static_cast<double>(updates_));
-  for (std::size_t i = 0; i < weights_.size(); ++i)
-    weights_[i] -= step * (err * x[i] + l2_ * weights_[i]);
-  intercept_ -= step * err;
-  ++updates_;
-}
-
-double SgdLinearModel::predict(std::span<const double> x) const {
-  if (x.size() != weights_.size())
-    throw std::invalid_argument("SgdLinearModel::predict: dims");
   double v = intercept_;
   for (std::size_t i = 0; i < weights_.size(); ++i) v += weights_[i] * x[i];
   return v;

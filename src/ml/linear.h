@@ -69,25 +69,4 @@ class LinearModel {
   double r_squared_ = 0.0;
 };
 
-/// Online linear model trained by averaged SGD; used where the agent must
-/// learn incrementally from the (query, answer) stream without refits.
-class SgdLinearModel {
- public:
-  explicit SgdLinearModel(std::size_t dims, double learning_rate = 0.05,
-                          double l2 = 1e-6);
-
-  void update(std::span<const double> x, double y);
-  double predict(std::span<const double> x) const;
-
-  std::size_t dims() const noexcept { return weights_.size(); }
-  std::uint64_t updates() const noexcept { return updates_; }
-
- private:
-  std::vector<double> weights_;
-  double intercept_ = 0.0;
-  double lr_;
-  double l2_;
-  std::uint64_t updates_ = 0;
-};
-
 }  // namespace sea

@@ -8,13 +8,15 @@
 
 namespace sea {
 
-// Completeness guard: ServeStats is 13 uint64 outcome/execution/recovery
-// counters; conserved() and sync_metrics() below must cover every one.
-// Adding a field changes the size and fails this assert until both are
-// updated.
-static_assert(sizeof(ServeStats) == 13 * 8,
-              "ServeStats gained/lost a field: update conserved(), "
-              "sync_metrics(), and this guard");
+// Completeness guard: ServeStats is exactly the SEA_SERVE_STATS_FIELDS
+// counters, so the generated metric handles, registration and sync deltas
+// cover every field. A field declared outside the list changes the size and
+// fails this assert; conserved() must still be reviewed by hand.
+#define SEA_SERVE_STATS_COUNT(field) +1
+static_assert(sizeof(ServeStats) ==
+                  (0 SEA_SERVE_STATS_FIELDS(SEA_SERVE_STATS_COUNT)) * 8,
+              "ServeStats field declared outside SEA_SERVE_STATS_FIELDS");
+#undef SEA_SERVE_STATS_COUNT
 
 ServedAnalytics::ServedAnalytics(DatalessAgent& agent, ExactExecutor& exec,
                                  ServeConfig config)
@@ -29,19 +31,9 @@ void ServedAnalytics::bind_obs() {
     m_ = ServeMetrics{};
     return;
   }
-  m_.queries = &reg->counter("serve.queries");
-  m_.data_less_served = &reg->counter("serve.data_less_served");
-  m_.exact_answered = &reg->counter("serve.exact_answered");
-  m_.shed = &reg->counter("serve.shed");
-  m_.failed = &reg->counter("serve.failed");
-  m_.exact_executed = &reg->counter("serve.exact_executed");
-  m_.exact_failures = &reg->counter("serve.exact_failures");
-  m_.degraded_served = &reg->counter("serve.degraded_served");
-  m_.deadline_exceeded = &reg->counter("serve.deadline_exceeded");
-  m_.fenced_serves = &reg->counter("serve.fenced_serves");
-  m_.recoveries = &reg->counter("serve.recoveries");
-  m_.replayed_updates = &reg->counter("serve.replayed_updates");
-  m_.stale_model_serves = &reg->counter("serve.stale_model_serves");
+#define SEA_SERVE_STATS_BIND(field) m_.field = &reg->counter("serve." #field);
+  SEA_SERVE_STATS_FIELDS(SEA_SERVE_STATS_BIND)
+#undef SEA_SERVE_STATS_BIND
   m_.queue_backlog = &reg->gauge("serve.queue_backlog_ms");
   m_.exact_modelled_ms = &reg->histogram(
       "serve.exact_modelled_ms", {25.0, 50.0, 100.0, 200.0, 400.0, 800.0});
@@ -52,39 +44,33 @@ void ServedAnalytics::bind_obs() {
 
 void ServedAnalytics::sync_metrics() {
   if (!m_.queries) return;
-  m_.queries->inc(stats_.queries - mirrored_.queries);
-  m_.data_less_served->inc(stats_.data_less_served -
-                           mirrored_.data_less_served);
-  m_.exact_answered->inc(stats_.exact_answered - mirrored_.exact_answered);
-  m_.shed->inc(stats_.shed - mirrored_.shed);
-  m_.failed->inc(stats_.failed - mirrored_.failed);
-  m_.exact_executed->inc(stats_.exact_executed - mirrored_.exact_executed);
-  m_.exact_failures->inc(stats_.exact_failures - mirrored_.exact_failures);
-  m_.degraded_served->inc(stats_.degraded_served - mirrored_.degraded_served);
-  m_.deadline_exceeded->inc(stats_.deadline_exceeded -
-                            mirrored_.deadline_exceeded);
-  m_.fenced_serves->inc(stats_.fenced_serves - mirrored_.fenced_serves);
-  m_.recoveries->inc(stats_.recoveries - mirrored_.recoveries);
-  m_.replayed_updates->inc(stats_.replayed_updates -
-                           mirrored_.replayed_updates);
-  m_.stale_model_serves->inc(stats_.stale_model_serves -
-                             mirrored_.stale_model_serves);
+#define SEA_SERVE_STATS_SYNC(field) \
+  m_.field->inc(stats_.field - mirrored_.field);
+  SEA_SERVE_STATS_FIELDS(SEA_SERVE_STATS_SYNC)
+#undef SEA_SERVE_STATS_SYNC
   m_.queue_backlog->set(queue_backlog_ms_);
   mirrored_ = stats_;
 }
 
-void ServedAnalytics::note_model_answer(ServedAnswer& out) {
+void ServedAnalytics::answer_from_model(ServedAnswer& out,
+                                        const Prediction& pred) {
+  out.data_less = true;
+  out.value = pred.value;
+  out.prediction = pred;
   if (!provider_ || !provider_->primary_stale()) return;
   out.stale_model = true;
   ++stats_.stale_model_serves;
 }
 
-void ServedAnalytics::absorb_truth(const AnalyticalQuery& query,
-                                   double truth) {
+void ServedAnalytics::absorb_truth(const AnalyticalQuery& query, double truth,
+                                   TruthBatch& train) {
+  // A provider commits truth through its replicated log before its clock
+  // advances past this serve (the WAL order is the history, and a
+  // checkpoint falling due in that advance must cover it).
   if (provider_)
     provider_->observe(query, truth);
   else
-    agent_.observe(query, truth);
+    train.emplace_back(query, truth);
 }
 
 void ServedAnalytics::advance_provider(double modelled_ms) {
@@ -142,71 +128,50 @@ ExactResult ServedAnalytics::execute_exact(const AnalyticalQuery& query) {
 }
 
 ServedAnswer ServedAnalytics::serve(const AnalyticalQuery& query) {
-  ServedAnswer out;
-  Timer timer;
-  bind_obs();
-  obs::Tracer* tr = tracer();
-  // Root span per served query; only the unanswerable throw keeps the
-  // default tag — every other exit overwrites it with its outcome.
-  obs::SpanScope root(tr, "serve");
-  root.set_tag("failed");
+  ServedAnswer out = std::move(serve_batch({&query, 1}).front());
+  if (out.failed) std::rethrow_exception(std::exchange(failure_, nullptr));
+  return out;
+}
+
+const char* ServedAnalytics::serve_one(const AnalyticalQuery& query,
+                                       const DatalessAgent::PeekResult& peek,
+                                       DatalessAgent* model, ServedAnswer& out,
+                                       TruthBatch& train) {
   ++stats_.queries;
   // One query's worth of service capacity elapses per arrival.
   if (config_.queue_capacity_ms > 0.0)
     queue_backlog_ms_ =
         std::max(0.0, queue_backlog_ms_ - config_.drain_ms_per_query);
-
-  // Modelled cost of this serve's successful exact work — the amount the
-  // attached model provider's clock advances (0 for pure model answers;
-  // the provider applies its own minimum per-query advance).
-  double modelled = 0.0;
   const bool bootstrapping = stats_.queries <= config_.bootstrap_queries;
-  DatalessAgent* model = serving_model();
-  if (!bootstrapping && model) {
-    if (auto pred = model->try_predict(query)) {
-      out.data_less = true;
-      out.value = pred->value;
-      out.prediction = *pred;
-      note_model_answer(out);
+  if (!bootstrapping) {
+    const bool confident = peek.usable && peek.confident;
+    if (model) model->record_serve_outcome(confident);
+    if (confident) {
+      answer_from_model(out, peek.prediction);
+      ++stats_.data_less_served;
       if (config_.audit_fraction > 0.0 &&
           audit_rng_.bernoulli(config_.audit_fraction)) {
         try {
           out.exact = execute_exact(query);
           out.audited = true;
-          modelled += out.exact.report.modelled_ms();
-          absorb_truth(query, out.exact.answer);
+          absorb_truth(query, out.exact.answer, train);
         } catch (const OutageError&) {
           // Audit is best-effort: an outage (or blown deadline) skips the
           // audit but never fails the (already confident) data-less answer.
         }
       }
-      ++stats_.data_less_served;
-      root.set_tag(out.audited ? "audited" : "data_less");
-      advance_provider(modelled);
-      sync_metrics();
-      out.latency_ms = timer.elapsed_ms();
-      return out;
+      return out.audited ? "audited" : "data_less";
     }
     // Load shedding: the query would hit the BDAS, the admission queue is
     // over its high-water mark, and the model can stand in — shed.
-    if (overloaded()) {
-      if (auto pred = model->maybe_predict(query)) {
-        out.shed = true;
-        out.data_less = true;
-        out.value = pred->value;
-        out.prediction = *pred;
-        note_model_answer(out);
-        ++stats_.shed;
-        if (tr) tr->event("shed", "overloaded");
-        root.set_tag("shed");
-        advance_provider(0.0);
-        sync_metrics();
-        out.latency_ms = timer.elapsed_ms();
-        return out;
-      }
+    if (overloaded() && peek.usable) {
+      answer_from_model(out, peek.prediction);
+      out.shed = true;
+      ++stats_.shed;
+      if (obs::Tracer* tr = tracer()) tr->event("shed", "overloaded");
+      return "shed";
     }
   }
-
   try {
     out.exact = execute_exact(query);
   } catch (const OutageError& err) {
@@ -215,42 +180,25 @@ ServedAnswer ServedAnalytics::serve(const AnalyticalQuery& query) {
     // best answer, explicitly flagged degraded, instead of failing the
     // query — the availability axis of the paper's P4. execute_exact
     // already classified the failure.
-    // Re-resolve the model: the injector ticks inside the failed execution
-    // may have crashed the primary replica and failed serving over.
-    const bool fenced = dynamic_cast<const StaleEpoch*>(&err) != nullptr;
-    model = serving_model();
-    std::optional<Prediction> pred =
-        model ? model->maybe_predict(query) : std::nullopt;
-    if (pred) {
-      out.degraded = true;
-      out.fenced = fenced;
-      out.data_less = true;
-      out.value = pred->value;
-      out.prediction = *pred;
-      note_model_answer(out);
-      ++stats_.degraded_served;
-      if (fenced) ++stats_.fenced_serves;
-      ++stats_.data_less_served;
-      root.set_tag(fenced ? "fenced" : "degraded");
-      advance_provider(0.0);
-      sync_metrics();
-      out.latency_ms = timer.elapsed_ms();
-      return out;
+    if (!peek.usable) {
+      ++stats_.failed;
+      out.failed = true;
+      failure_ = std::current_exception();
+      return "failed";
     }
-    ++stats_.failed;
-    advance_provider(0.0);
-    sync_metrics();
-    throw;
+    const bool fenced = dynamic_cast<const StaleEpoch*>(&err) != nullptr;
+    answer_from_model(out, peek.prediction);
+    out.degraded = true;
+    out.fenced = fenced;
+    ++stats_.degraded_served;
+    if (fenced) ++stats_.fenced_serves;
+    ++stats_.data_less_served;
+    return fenced ? "fenced" : "degraded";
   }
   out.value = out.exact.answer;
-  modelled += out.exact.report.modelled_ms();
-  absorb_truth(query, out.exact.answer);
+  absorb_truth(query, out.exact.answer, train);
   ++stats_.exact_answered;
-  root.set_tag("exact");
-  advance_provider(modelled);
-  sync_metrics();
-  out.latency_ms = timer.elapsed_ms();
-  return out;
+  return "exact";
 }
 
 std::vector<ServedAnswer> ServedAnalytics::serve_batch(
@@ -260,7 +208,7 @@ std::vector<ServedAnswer> ServedAnalytics::serve_batch(
   bind_obs();
   obs::Tracer* tr = tracer();
 
-  // Phase 1 (parallel): read-only model predictions against the agent state
+  // Phase 1 (parallel): read-only model predictions against the model state
   // frozen at batch entry. Each query writes only its own slot. No span or
   // metric is recorded here — the model peek is traced serially in phase 2
   // (as a zero-duration marker: prediction compute is measured wall time,
@@ -284,106 +232,28 @@ std::vector<ServedAnswer> ServedAnalytics::serve_batch(
   // gating, audit coin flips, admission/shedding decisions, exact
   // executions (cluster + fault injector), statistics — in the same order
   // at any thread count.
-  std::vector<std::pair<AnalyticalQuery, double>> train;
-  train.reserve(queries.size());
+  TruthBatch train;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const AnalyticalQuery& query = queries[i];
-    ServedAnswer& ans = out[i];
     Timer timer;
     obs::SpanScope root(tr, "serve");
+    // An exception escaping the ladder leaves the span tagged "failed".
     root.set_tag("failed");
     if (tr)
       tr->event("peek", !peek[i].usable        ? "unusable"
                         : peek[i].confident    ? "confident"
                                                : "usable");
-    ++stats_.queries;
-    if (config_.queue_capacity_ms > 0.0)
-      queue_backlog_ms_ =
-          std::max(0.0, queue_backlog_ms_ - config_.drain_ms_per_query);
-    const bool bootstrapping = stats_.queries <= config_.bootstrap_queries;
-    double modelled = 0.0;
-    if (!bootstrapping) {
-      const bool served = peek[i].usable && peek[i].confident;
-      if (model) model->record_serve_outcome(served);
-      if (served) {
-        ans.data_less = true;
-        ans.value = peek[i].prediction.value;
-        ans.prediction = peek[i].prediction;
-        note_model_answer(ans);
-        if (config_.audit_fraction > 0.0 &&
-            audit_rng_.bernoulli(config_.audit_fraction)) {
-          try {
-            ans.exact = execute_exact(query);
-            ans.audited = true;
-            modelled += ans.exact.report.modelled_ms();
-            train.emplace_back(query, ans.exact.answer);
-          } catch (const OutageError&) {
-            // Best-effort audit (classified inside execute_exact).
-          }
-        }
-        ++stats_.data_less_served;
-        root.set_tag(ans.audited ? "audited" : "data_less");
-        advance_provider(modelled);
-        ans.latency_ms = predict_ms[i] + timer.elapsed_ms();
-        continue;
-      }
-      if (overloaded() && peek[i].usable) {
-        ans.shed = true;
-        ans.data_less = true;
-        ans.value = peek[i].prediction.value;
-        ans.prediction = peek[i].prediction;
-        note_model_answer(ans);
-        ++stats_.shed;
-        if (tr) tr->event("shed", "overloaded");
-        root.set_tag("shed");
-        advance_provider(0.0);
-        ans.latency_ms = predict_ms[i] + timer.elapsed_ms();
-        continue;
-      }
-    }
-    try {
-      ans.exact = execute_exact(query);
-    } catch (const OutageError& err) {
-      const bool fenced = dynamic_cast<const StaleEpoch*>(&err) != nullptr;
-      if (peek[i].usable) {
-        ans.degraded = true;
-        ans.fenced = fenced;
-        ans.data_less = true;
-        ans.value = peek[i].prediction.value;
-        ans.prediction = peek[i].prediction;
-        note_model_answer(ans);
-        ++stats_.degraded_served;
-        if (fenced) ++stats_.fenced_serves;
-        ++stats_.data_less_served;
-        root.set_tag(fenced ? "fenced" : "degraded");
-      } else {
-        ++stats_.failed;
-        ans.failed = true;
-      }
-      advance_provider(0.0);
-      ans.latency_ms = predict_ms[i] + timer.elapsed_ms();
-      continue;
-    }
-    ans.value = ans.exact.answer;
-    modelled += ans.exact.report.modelled_ms();
-    train.emplace_back(query, ans.exact.answer);
-    ++stats_.exact_answered;
-    root.set_tag("exact");
-    advance_provider(modelled);
-    ans.latency_ms = predict_ms[i] + timer.elapsed_ms();
+    root.set_tag(serve_one(queries[i], peek[i], model, out[i], train));
+    // The attached provider's clock advances by this serve's successful
+    // exact (or audit) work — `exact` stays empty, so 0, when none ran;
+    // the provider applies its own minimum per-query advance.
+    advance_provider(out[i].exact.report.modelled_ms());
+    out[i].latency_ms = predict_ms[i] + timer.elapsed_ms();
   }
   sync_metrics();
 
-  // Phase 3: absorb the batch's ground truth. Without a provider, refits
-  // fan out per quantum via observe_batch; with one, truth is committed
-  // through the replicated log (serially — the WAL order is the history).
-  if (!train.empty()) {
-    if (provider_) {
-      for (const auto& [q, truth] : train) provider_->observe(q, truth);
-    } else {
-      agent_.observe_batch(train);
-    }
-  }
+  // Phase 3: without a provider, the batch's ground truth is absorbed once
+  // here — refits fan out per quantum via observe_batch.
+  if (!train.empty()) agent_.observe_batch(train);
   return out;
 }
 

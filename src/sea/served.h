@@ -15,7 +15,10 @@
 // agent's best model answer flagged `degraded=true` (the Fig. 2 data-less
 // agent is uniquely positioned to keep answering when base data is
 // unreachable). Only a query whose signature the agent has never modelled
-// propagates the failure.
+// fails: serve_batch() flags its slot `failed`, serve() rethrows the outage.
+//
+// There is one outcome ladder (serve_batch); serve(q) is a one-element
+// batch, so single-query and batched serving cannot drift apart.
 //
 // Overload control (DESIGN.md "Deadlines & overload"): an optional
 // admission queue tracks a *modelled* backlog of exact-execution work.
@@ -28,7 +31,9 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -125,14 +130,38 @@ struct ServedAnswer {
   /// epoch is no longer current) and the value is a model answer. Always
   /// implies degraded.
   bool fenced = false;
-  /// Batch serving only: outage + no model — serve() would have thrown;
-  /// serve_batch() flags the slot instead so the rest of the batch still
-  /// completes. `value` is meaningless when set.
+  /// Outage + no model: the query is unanswerable. serve_batch() flags the
+  /// slot so the rest of the batch still completes; serve() never returns
+  /// such an answer — it rethrows the typed outage instead. `value` is
+  /// meaningless when set.
   bool failed = false;
   Prediction prediction;    ///< valid when data_less
   ExactResult exact;        ///< valid when !data_less or audited
   double latency_ms = 0.0;  ///< measured end-to-end serve time
 };
+
+/// The ServeStats counters, declared once: X(field) per uint64 counter.
+/// The struct fields, the `serve.<field>` metric handles, their
+/// registration and the per-sync deltas are all generated from this list.
+#define SEA_SERVE_STATS_FIELDS(X)                                          \
+  X(queries)                                                               \
+  X(data_less_served)   /* model answers (incl. degraded) */               \
+  X(exact_answered)     /* answered from an exact execution */             \
+  X(shed)               /* load-shed to the model path */                  \
+  X(failed)             /* outage + no model: unanswerable */              \
+  X(exact_executed)     /* includes bootstrap + declines + audits */       \
+  X(exact_failures)     /* exact executions that raised an outage */       \
+  X(degraded_served)    /* model answers served during outages */          \
+  X(deadline_exceeded)  /* executions aborted on the budget */             \
+  /* Degraded serves caused by epoch fencing (StaleEpoch): this process */ \
+  /* is a fenced ex-holder and answered read-only from the model. */       \
+  /* Subset of degraded_served. */                                         \
+  X(fenced_serves)                                                         \
+  /* Crash-recovery accounting (populated only when a */                   \
+  /* ServingModelProvider is attached; see src/recovery). */               \
+  X(recoveries)         /* model replicas fully recovered */               \
+  X(replayed_updates)   /* WAL updates replayed on restart */              \
+  X(stale_model_serves) /* model answers from a stale replica */
 
 /// Serving counters. The top-level outcome classes partition the queries:
 /// every query lands in exactly one of data_less_served, exact_answered,
@@ -140,25 +169,9 @@ struct ServedAnswer {
 /// of data_less_served; exact_executed / exact_failures / deadline_exceeded
 /// count executions (including audits), not queries.
 struct ServeStats {
-  std::uint64_t queries = 0;
-  std::uint64_t data_less_served = 0;  ///< model answers (incl. degraded)
-  std::uint64_t exact_answered = 0;    ///< answered from an exact execution
-  std::uint64_t shed = 0;              ///< load-shed to the model path
-  std::uint64_t failed = 0;            ///< outage + no model: unanswerable
-  std::uint64_t exact_executed = 0;  ///< includes bootstrap + declines + audits
-  std::uint64_t exact_failures = 0;  ///< exact executions that raised an outage
-  std::uint64_t degraded_served = 0; ///< model answers served during outages
-  std::uint64_t deadline_exceeded = 0;  ///< executions aborted on the budget
-  /// Degraded serves caused by epoch fencing (StaleEpoch): this process is
-  /// a fenced ex-holder and answered read-only from the model. Subset of
-  /// degraded_served.
-  std::uint64_t fenced_serves = 0;
-
-  // Crash-recovery accounting (populated only when a ServingModelProvider
-  // is attached; see src/recovery).
-  std::uint64_t recoveries = 0;         ///< model replicas fully recovered
-  std::uint64_t replayed_updates = 0;   ///< WAL updates replayed on restart
-  std::uint64_t stale_model_serves = 0; ///< model answers from a stale replica
+#define SEA_SERVE_STATS_DECLARE(field) std::uint64_t field = 0;
+  SEA_SERVE_STATS_FIELDS(SEA_SERVE_STATS_DECLARE)
+#undef SEA_SERVE_STATS_DECLARE
 
   /// Query-conservation invariant: every query is counted in exactly one
   /// outcome class.
@@ -172,15 +185,19 @@ class ServedAnalytics {
   ServedAnalytics(DatalessAgent& agent, ExactExecutor& exec,
                   ServeConfig config = {});
 
+  /// Serves one query: a one-element serve_batch(). An unanswerable query
+  /// (outage + no model) rethrows the typed outage the ladder caught
+  /// (e.g. NoLiveReplicaError) instead of returning a failed answer.
   ServedAnswer serve(const AnalyticalQuery& query);
 
-  /// Serves a batch of independent queries. Model predictions run
-  /// concurrently (SEA_THREADS) against the agent state frozen at batch
-  /// entry; confidence gating, audit coin flips, exact executions, and
-  /// statistics updates then run serially in batch order, so answers and
-  /// every counter are identical at any thread count. Ground truth from
-  /// exact executions is absorbed once at the end via observe_batch().
-  /// Unlike serve(), an unanswerable query (outage + no model) does not
+  /// Serves a batch of independent queries through the one outcome ladder.
+  /// Model predictions run concurrently (SEA_THREADS) against the model
+  /// state frozen at batch entry; confidence gating, audit coin flips,
+  /// exact executions, and statistics updates then run serially in batch
+  /// order, so answers and every counter are identical at any thread
+  /// count. Ground truth from exact executions goes to the attached
+  /// provider inline (before its clock advances), or else to the own agent
+  /// once at the end via observe_batch(). An unanswerable query does not
   /// throw: its answer comes back with failed=true.
   std::vector<ServedAnswer> serve_batch(
       std::span<const AnalyticalQuery> queries);
@@ -209,15 +226,25 @@ class ServedAnalytics {
   ExactResult execute_exact(const AnalyticalQuery& query);
   /// True when the admission queue is over its high-water mark.
   bool overloaded() const noexcept;
-  /// The model answering this serve call: the provider's primary replica
-  /// when one is attached (may be null mid-outage), else the own agent.
+  /// The model answering this batch: the provider's primary replica when
+  /// one is attached (may be null mid-outage), else the own agent.
   DatalessAgent* serving_model() noexcept {
     return provider_ ? provider_->primary() : &agent_;
   }
-  /// Flags `out` (and counts) a stale model answer; no-op without provider.
-  void note_model_answer(ServedAnswer& out);
-  /// Ground truth: provider when attached, else the own agent.
-  void absorb_truth(const AnalyticalQuery& query, double truth);
+  using TruthBatch = std::vector<std::pair<AnalyticalQuery, double>>;
+  /// The outcome ladder for one query, given its batch-entry peek: fills
+  /// `out` and returns the outcome tag for the query's root span.
+  const char* serve_one(const AnalyticalQuery& query,
+                        const DatalessAgent::PeekResult& peek,
+                        DatalessAgent* model, ServedAnswer& out,
+                        TruthBatch& train);
+  /// Fills `out` with a model answer, flagging (and counting) it stale when
+  /// the attached provider's primary lags.
+  void answer_from_model(ServedAnswer& out, const Prediction& pred);
+  /// Ground truth: committed to the provider inline when one is attached,
+  /// else queued in `train` for the batch-end observe_batch().
+  void absorb_truth(const AnalyticalQuery& query, double truth,
+                    TruthBatch& train);
   /// Advances the attached provider's modelled clock and folds its
   /// recovery counters into stats_. No-op without a provider.
   void advance_provider(double modelled_ms);
@@ -241,21 +268,13 @@ class ServedAnalytics {
   Rng audit_rng_;
   /// Modelled ms of exact-execution work admitted but not yet drained.
   double queue_backlog_ms_ = 0.0;
+  /// The outage behind the latest failed slot, rethrown by serve().
+  std::exception_ptr failure_;
 
   struct ServeMetrics {
-    obs::Counter* queries = nullptr;
-    obs::Counter* data_less_served = nullptr;
-    obs::Counter* exact_answered = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* exact_executed = nullptr;
-    obs::Counter* exact_failures = nullptr;
-    obs::Counter* degraded_served = nullptr;
-    obs::Counter* deadline_exceeded = nullptr;
-    obs::Counter* fenced_serves = nullptr;
-    obs::Counter* recoveries = nullptr;
-    obs::Counter* replayed_updates = nullptr;
-    obs::Counter* stale_model_serves = nullptr;
+#define SEA_SERVE_STATS_COUNTER(field) obs::Counter* field = nullptr;
+    SEA_SERVE_STATS_FIELDS(SEA_SERVE_STATS_COUNTER)
+#undef SEA_SERVE_STATS_COUNTER
     obs::Gauge* queue_backlog = nullptr;
     obs::Histogram* exact_modelled_ms = nullptr;
   };

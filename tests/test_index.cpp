@@ -8,13 +8,11 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <set>
 
 #include "common/rng.h"
 #include "data/generator.h"
 #include "index/bloom.h"
-#include "index/count_min.h"
 #include "index/grid.h"
 #include "index/histogram.h"
 #include "index/kdtree.h"
@@ -626,30 +624,6 @@ TEST(Grid, CellOffsetsFormValidCsr) {
   EXPECT_TRUE(std::is_sorted(offsets.begin(), offsets.end()));
 }
 
-TEST(EquiWidthHistogram, ExactOnAlignedRanges) {
-  EquiWidthHistogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add((i % 10) * 0.1 + 0.05);
-  EXPECT_EQ(h.total(), 1000u);
-  EXPECT_NEAR(h.estimate_range(0.0, 1.0), 1000.0, 1e-6);
-  EXPECT_NEAR(h.estimate_range(0.0, 0.3), 300.0, 1.0);
-  EXPECT_NEAR(h.selectivity(0.0, 0.5), 0.5, 0.01);
-}
-
-TEST(EquiWidthHistogram, PartialBucketInterpolation) {
-  EquiWidthHistogram h(0.0, 1.0, 1);
-  for (int i = 0; i < 100; ++i) h.add(0.5);
-  EXPECT_NEAR(h.estimate_range(0.0, 0.5), 50.0, 1e-9);
-}
-
-TEST(EquiWidthHistogram, OutOfDomainClamps) {
-  EquiWidthHistogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_GT(h.bucket_count(0), 0u);
-  EXPECT_GT(h.bucket_count(3), 0u);
-}
-
 TEST(EquiDepthHistogram, RobustUnderSkew) {
   Rng rng(77);
   std::vector<double> vals;
@@ -711,37 +685,6 @@ TEST(Bloom, EmptyContainsNothing) {
 TEST(Bloom, InvalidRateThrows) {
   EXPECT_THROW(BloomFilter(10, 0.0), std::invalid_argument);
   EXPECT_THROW(BloomFilter(10, 1.0), std::invalid_argument);
-}
-
-TEST(CountMin, NeverUnderestimates) {
-  CountMinSketch cm(0.01, 0.01);
-  Rng rng(88);
-  std::map<std::uint64_t, std::uint64_t> truth;
-  for (int i = 0; i < 20000; ++i) {
-    const std::uint64_t key = rng.uniform_index(500);
-    ++truth[key];
-    cm.add(key);
-  }
-  for (const auto& [k, c] : truth) EXPECT_GE(cm.estimate(k), c);
-}
-
-TEST(CountMin, ErrorWithinEpsBound) {
-  const double eps = 0.005;
-  CountMinSketch cm(eps, 0.01);
-  Rng rng(89);
-  std::map<std::uint64_t, std::uint64_t> truth;
-  for (int i = 0; i < 50000; ++i) {
-    const std::uint64_t key = rng.uniform_index(1000);
-    ++truth[key];
-    cm.add(key);
-  }
-  std::size_t violations = 0;
-  for (const auto& [k, c] : truth)
-    if (cm.estimate(k) >
-        c + static_cast<std::uint64_t>(2 * eps *
-                                       static_cast<double>(cm.total())))
-      ++violations;
-  EXPECT_LT(violations, truth.size() / 20);
 }
 
 TEST(ScoreIndex, SortedAccessDescending) {

@@ -107,16 +107,6 @@ TEST(LinearModel, ErrorsOnBadInput) {
   EXPECT_THROW(m.predict(std::vector<double>{1.0}), std::logic_error);
 }
 
-TEST(SgdLinearModel, ConvergesOnLinearTarget) {
-  Rng rng(4);
-  SgdLinearModel m(2, 0.1);
-  for (int i = 0; i < 20000; ++i) {
-    const double a = rng.uniform(), b = rng.uniform();
-    m.update(std::vector<double>{a, b}, 2.0 * a + 3.0 * b + 1.0);
-  }
-  EXPECT_NEAR(m.predict(std::vector<double>{0.5, 0.5}), 3.5, 0.15);
-}
-
 TEST(KMeans, RecoversWellSeparatedClusters) {
   Rng rng(5);
   std::vector<Point> pts;

@@ -3,6 +3,8 @@
 // scenario (ISSUE: crash-recovery tentpole; paper availability axis, P4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -440,6 +442,142 @@ TEST_F(ServedRecoveryFixture, ServesThroughModelHostCrashAndFlagsStale) {
   EXPECT_EQ(st.recoveries, 1u);
   EXPECT_GT(st.replayed_updates, 0u);
   EXPECT_TRUE(st.conserved());
+}
+
+// ---------------------------------------------------------------------------
+// serve() is a one-element serve_batch(): differential check
+// ---------------------------------------------------------------------------
+
+/// What one serve produced, reduced to comparable bits.
+struct ServeOutcome {
+  std::uint64_t value_bits = 0;
+  bool data_less = false, audited = false, stale_model = false;
+  bool degraded = false, shed = false, fenced = false, failed = false;
+
+  bool operator==(const ServeOutcome&) const = default;
+};
+
+struct ServeDiffRun {
+  std::vector<ServeOutcome> outcomes;
+  ServeStats stats;
+  RecoveryStats rec;
+};
+
+/// Drives one seeded system through a stream that reaches every rung of
+/// the outcome ladder: bootstrap, audited and shed serves, a node-down
+/// outage with degraded serves and an untrained signature that fails, then
+/// a replicated model provider with a home crash-restart. `batched` serves
+/// each query as a size-1 serve_batch() instead of serve().
+ServeDiffRun run_serve_diff(bool batched) {
+  const Table table = small_dataset(3000, 2, 281);
+  Cluster cluster(4, Network::single_zone(4));
+  PartitionSpec spec;
+  spec.replicas = 2;
+  cluster.load_table("t", table, spec);
+  ExactExecutor exec(cluster, "t");
+  const AgentConfig acfg = warm_agent_config();
+  DatalessAgent agent(acfg, [&](const std::vector<std::size_t>& cols) {
+    return exec.domain(cols);
+  });
+  ServeConfig scfg;
+  scfg.bootstrap_queries = 150;
+  scfg.audit_fraction = 0.3;
+  scfg.queue_capacity_ms = 20.0;
+  scfg.drain_ms_per_query = 1.0;
+  ServedAnalytics served(agent, exec, scfg);
+  QueryWorkload workload(hotspot_workload_config(table, 162),
+                         exec.domain({0, 1}));
+  // A signature no model ever trains on: unanswerable during the outage.
+  AnalyticalQuery untrained = range_count_query(0.1, 0.9, 0.1, 0.9);
+  untrained.subspace_cols = {1, 0};
+
+  ServeDiffRun run;
+  const auto serve = [&](const AnalyticalQuery& q) {
+    ServedAnswer a;
+    if (batched) {
+      a = served.serve_batch({&q, 1}).front();
+    } else {
+      try {
+        a = served.serve(q);
+      } catch (const NoLiveReplicaError&) {
+        a.failed = true;
+      }
+    }
+    run.outcomes.push_back({std::bit_cast<std::uint64_t>(a.value),
+                            a.data_less, a.audited, a.stale_model,
+                            a.degraded, a.shed, a.fenced, a.failed});
+    if (a.failed) run.outcomes.back().value_bits = 0;
+  };
+
+  // Own agent: bootstrap, then warm serving with audits and shedding.
+  for (int i = 0; i < 300; ++i) serve(workload.next());
+  // Outage: shard 1's holders (nodes 1 and 2) both down.
+  cluster.set_node_down(1, true);
+  cluster.set_node_down(2, true);
+  for (int i = 0; i < 40; ++i) serve(i % 8 == 0 ? untrained : workload.next());
+  cluster.set_node_down(1, false);
+  cluster.set_node_down(2, false);
+
+  // Replicated model: truth flows through the provider, checkpoints fall
+  // due on its modelled clock, and the home replica crashes and restarts.
+  ReplicaSetConfig rcfg;
+  rcfg.nodes = {1, 2};
+  rcfg.agent = acfg;
+  rcfg.checkpoint_interval_ms = 20.0;
+  rcfg.cutover_updates = 1;
+  rcfg.transfer_base_ms = 200.0;
+  ModelReplicaSet rs(rcfg, [&](const std::vector<std::size_t>& cols) {
+    return exec.domain(cols);
+  });
+  served.set_model_provider(&rs);
+  for (int i = 0; i < 300; ++i) serve(workload.next());
+  rs.on_crash(1, 0);
+  for (int i = 0; i < 30; ++i) serve(workload.next());
+  rs.on_restart(1, 0);
+  for (int i = 0; i < 60; ++i) serve(workload.next());
+  rs.settle();
+  for (int i = 0; i < 10; ++i) serve(workload.next());
+  served.set_model_provider(nullptr);
+
+  run.stats = served.stats();
+  run.rec = rs.stats();
+  return run;
+}
+
+TEST(ServedAnalytics, ServeMatchesOneElementBatches) {
+  const ServeDiffRun single = run_serve_diff(/*batched=*/false);
+  const ServeDiffRun batch = run_serve_diff(/*batched=*/true);
+
+  // The stream really reaches every rung of the ladder.
+  const ServeStats& st = single.stats;
+  EXPECT_TRUE(st.conserved());
+  EXPECT_GT(st.exact_answered, 0u);
+  EXPECT_GT(st.data_less_served, 0u);
+  EXPECT_GT(st.shed, 0u);
+  EXPECT_GT(st.degraded_served, 0u);
+  EXPECT_GT(st.failed, 0u);
+  EXPECT_GT(st.stale_model_serves, 0u);
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_GT(st.replayed_updates, 0u);
+  EXPECT_GT(single.rec.checkpoints, 0u);
+  EXPECT_TRUE(std::any_of(single.outcomes.begin(), single.outcomes.end(),
+                          [](const ServeOutcome& o) { return o.audited; }));
+
+  ASSERT_EQ(single.outcomes.size(), batch.outcomes.size());
+  for (std::size_t i = 0; i < single.outcomes.size(); ++i)
+    EXPECT_TRUE(single.outcomes[i] == batch.outcomes[i]) << "query " << i;
+#define EXPECT_SAME_STAT(field) \
+  EXPECT_EQ(single.stats.field, batch.stats.field) << #field;
+  SEA_SERVE_STATS_FIELDS(EXPECT_SAME_STAT)
+#undef EXPECT_SAME_STAT
+  EXPECT_EQ(single.rec.crashes, batch.rec.crashes);
+  EXPECT_EQ(single.rec.recoveries, batch.rec.recoveries);
+  EXPECT_EQ(single.rec.replayed_updates, batch.rec.replayed_updates);
+  EXPECT_EQ(single.rec.anti_entropy_rounds, batch.rec.anti_entropy_rounds);
+  EXPECT_EQ(single.rec.anti_entropy_updates, batch.rec.anti_entropy_updates);
+  EXPECT_EQ(single.rec.checkpoints, batch.rec.checkpoints);
+  EXPECT_EQ(single.rec.checkpoint_bytes, batch.rec.checkpoint_bytes);
+  EXPECT_EQ(single.rec.modelled_recovery_ms, batch.rec.modelled_recovery_ms);
 }
 
 // ---------------------------------------------------------------------------
