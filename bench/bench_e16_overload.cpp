@@ -12,6 +12,7 @@
 // defenses-off run at the same fault point shows the retry storm the
 // breakers end. A same-seed double run checks determinism, and the whole
 // sweep lands in BENCH_e16.json for cross-PR tracking.
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,7 +37,7 @@ struct PointResult {
   std::uint64_t net_dropped = 0;  ///< failed delivery attempts in the storm
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_probes = 0;
-  double backlog_ms = 0.0;
+  double backlog_peak_ms = 0.0;  ///< highest admission backlog in the storm
   double base_cost_ms = 0.0;  ///< calibrated healthy exact cost
 };
 
@@ -121,13 +122,13 @@ PointResult run_point(double drain_fraction, bool defenses,
     } catch (const OutageError&) {
       // Counted in stats.failed by the serving layer; the sweep reports it.
     }
+    r.backlog_peak_ms = std::max(r.backlog_peak_ms, served.queue_backlog_ms());
   }
   r.net_dropped = cluster.network().stats().dropped_messages;
   injector.detach(cluster);
   r.stats = served.stats();
   r.breaker_opens = cluster.breakers().stats().opens;
   r.breaker_probes = cluster.breakers().stats().half_open_probes;
-  r.backlog_ms = served.queue_backlog_ms();
   return r;
 }
 
@@ -146,7 +147,7 @@ void emit(BenchJsonWriter& json, const char* name, double drain_fraction,
   json.num("net_dropped", r.net_dropped);
   json.num("breaker_opens", r.breaker_opens);
   json.num("breaker_probes", r.breaker_probes);
-  json.num("backlog_ms", r.backlog_ms);
+  json.num("backlog_peak_ms", r.backlog_peak_ms);
 }
 
 void run(const std::string& trace_path) {
@@ -158,7 +159,7 @@ void run(const std::string& trace_path) {
   row("%-11s %-9s %-8s %-7s %-9s %-6s %-9s %-7s %-9s %-9s %-7s %-7s %-11s",
       "offered", "defenses", "queries", "exact", "dataless", "shed",
       "degraded", "failed", "deadline+", "dropped", "opens", "probes",
-      "backlog(model)");
+      "peak_backlog(model)");
   BenchJsonWriter json;
   const auto print_point = [&](double drain_fraction, bool defenses) {
     const PointResult r = run_point(drain_fraction, defenses, /*seed=*/31);
@@ -176,7 +177,7 @@ void run(const std::string& trace_path) {
         static_cast<unsigned long long>(r.stats.deadline_exceeded),
         static_cast<unsigned long long>(r.net_dropped),
         static_cast<unsigned long long>(r.breaker_opens),
-        static_cast<unsigned long long>(r.breaker_probes), r.backlog_ms);
+        static_cast<unsigned long long>(r.breaker_probes), r.backlog_peak_ms);
     emit(json, "e16_overload", drain_fraction, defenses, r);
     return r;
   };
@@ -209,13 +210,13 @@ void run(const std::string& trace_path) {
       on.net_dropped == b.net_dropped &&
       on.breaker_opens == b.breaker_opens &&
       on.breaker_probes == b.breaker_probes &&
-      on.backlog_ms == b.backlog_ms;
+      on.backlog_peak_ms == b.backlog_peak_ms;
   row("same-seed double run at 2x/defended: %s (shed=%llu dropped=%llu "
-      "opens=%llu backlog=%.2fms)",
+      "opens=%llu peak backlog=%.2fms)",
       deterministic ? "identical counters" : "MISMATCH",
       static_cast<unsigned long long>(on.stats.shed),
       static_cast<unsigned long long>(on.net_dropped),
-      static_cast<unsigned long long>(on.breaker_opens), on.backlog_ms);
+      static_cast<unsigned long long>(on.breaker_opens), on.backlog_peak_ms);
 
   json.write_file("BENCH_e16.json");
 

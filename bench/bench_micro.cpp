@@ -966,6 +966,59 @@ int run_perf_smoke() {
     gate("learned_grid", lg_1t, lg_2t, ug_ms, grid_same);
   }
 
+  // Shard build: the eight dashboard_1m partitions (8 x 125k clustered 2-d
+  // rows, the perfbench table) indexed by one build_kdtrees call, as an
+  // exact query does after every write. Gated like the primitives: the
+  // slot_ids are byte-equal at 1 and 2 threads and to one build_kdtree per
+  // partition (the single-table path builds by subtree), and 2t <= 1.5 x
+  // 1t + 1 ms. The naive column is a std::sort of the same (x, row id)
+  // pairs per partition; build_vs_sort_1t is recorded, not gated.
+  {
+    const Table table = make_clustered_dataset(kRows, 2, 3, 7);
+    Cluster cluster(8, Network::single_zone(8));
+    PartitionSpec ps;
+    ps.replicas = 2;
+    cluster.load_table("t", table, ps);
+    const std::vector<const Table*> parts = cluster.partitions("t");
+    const std::vector<std::size_t> cols{0, 1};
+    const auto slots_of = [](const std::vector<KdTree>& trees) {
+      std::vector<std::uint64_t> out;
+      for (const KdTree& t : trees)
+        out.insert(out.end(), t.slot_ids().begin(), t.slot_ids().end());
+      return out;
+    };
+    std::vector<KdTree> trees;
+    set_configured_threads(1);
+    const double build_1t =
+        best_of_ms(kReps, [&] { trees = build_kdtrees(parts, cols); });
+    const auto slots_1t = slots_of(trees);
+    std::vector<std::pair<double, std::uint32_t>> pairs;
+    const double sort_ms = best_of_ms(kReps, [&] {
+      for (const Table* part : parts) {
+        const auto x = part->column(0);
+        pairs.resize(x.size());
+        for (std::size_t r = 0; r < x.size(); ++r)
+          pairs[r] = {x[r], static_cast<std::uint32_t>(r)};
+        std::sort(pairs.begin(), pairs.end());
+        benchmark::DoNotOptimize(pairs.data());
+      }
+    });
+    set_configured_threads(2);
+    const double build_2t =
+        best_of_ms(kReps, [&] { trees = build_kdtrees(parts, cols); });
+    bool same = slots_of(trees) == slots_1t;
+    trees.clear();
+    for (const Table* part : parts) trees.push_back(build_kdtree(*part, cols));
+    same = same && slots_of(trees) == slots_1t;
+    gate("kd_build_shards", build_1t, build_2t, sort_ms, same);
+    json.num("partitions", static_cast<std::uint64_t>(parts.size()));
+    json.num("build_vs_sort_1t", sort_ms > 0.0 ? build_1t / sort_ms : 0.0);
+    std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (build/sort at 1t, "
+                "recorded)\n",
+                "kd_build_vs_sort", build_1t, "-", sort_ms,
+                sort_ms > 0.0 ? build_1t / sort_ms : 0.0, "-");
+  }
+
   // Fused k-d probe gates: on one dashboard_1m partition (64 probes at
   // ~6% selectivity), the fused range-COUNT and radius-SUM probes must be
   // byte-equal to, and faster by the given factor than,

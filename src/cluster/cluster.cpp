@@ -289,6 +289,13 @@ const Table& Cluster::partition(const std::string& name, NodeId node) const {
   return st.partitions[node];
 }
 
+std::vector<const Table*> Cluster::partitions(const std::string& name) const {
+  const auto& st = stored(name);
+  std::vector<const Table*> out(st.partitions.size());
+  for (std::size_t n = 0; n < out.size(); ++n) out[n] = &st.partitions[n];
+  return out;
+}
+
 Table& Cluster::mutable_partition(const std::string& name, NodeId node) {
   auto& st = stored(name);
   if (node >= st.partitions.size())

@@ -180,6 +180,8 @@ class Cluster {
 
   /// The slice of `name` stored at `node`. Throws if absent.
   const Table& partition(const std::string& name, NodeId node) const;
+  /// Every node's partition of the table, indexed by node.
+  std::vector<const Table*> partitions(const std::string& name) const;
   Table& mutable_partition(const std::string& name, NodeId node);
 
   /// Sum of partition rows (logical table cardinality).

@@ -35,6 +35,8 @@
 
 namespace sea {
 
+class Table;
+
 struct KdQueryCost {
   std::uint64_t nodes_visited = 0;
   std::uint64_t points_examined = 0;
@@ -119,7 +121,12 @@ class KdTree {
   /// build would.
   static std::size_t subtree_nodes(std::uint32_t count) noexcept;
 
+  template <std::size_t D>
   class Builder;
+  friend std::vector<KdTree> build_kdtrees(std::span<const Table* const>,
+                                           std::span<const std::size_t>);
+  /// Sets dims_ and sizes the arrays for `count` points.
+  void allocate(std::size_t dims, std::size_t count);
   void build(std::size_t dims, std::vector<double> coords,
              std::vector<std::uint64_t> ids);
 
@@ -274,9 +281,14 @@ class KdTree {
   bool nan_free_ = true;            ///< no NaN coordinate anywhere
 };
 
-/// Convenience: build a KdTree from selected columns of a table, using row
-/// indices as ids.
-class Table;
+/// One KdTree per table over the selected columns, with row indices as
+/// ids: the way to index every partition of a table. The partitions build
+/// concurrently on the pool, each serially inside its task; a single table
+/// fans out by subtree instead. Trees are identical at any SEA_THREADS.
+std::vector<KdTree> build_kdtrees(std::span<const Table* const> tables,
+                                  std::span<const std::size_t> cols);
+
+/// build_kdtrees for one table.
 KdTree build_kdtree(const Table& table, std::span<const std::size_t> cols);
 
 }  // namespace sea

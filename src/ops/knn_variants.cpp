@@ -34,17 +34,6 @@ double kth_smallest(std::vector<double>& dists, std::size_t k) {
   return dists[k - 1];
 }
 
-std::vector<KdTree> build_trees(Cluster& cluster, const std::string& table,
-                                const std::vector<std::size_t>& cols) {
-  std::vector<KdTree> trees;
-  trees.reserve(cluster.num_nodes());
-  for (std::size_t n = 0; n < cluster.num_nodes(); ++n) {
-    trees.push_back(
-        build_kdtree(cluster.partition(table, static_cast<NodeId>(n)), cols));
-  }
-  return trees;
-}
-
 }  // namespace
 
 RknnOutcome reverse_knn_scan(Cluster& cluster, const std::string& table,
@@ -120,7 +109,7 @@ RknnOutcome reverse_knn_indexed(Cluster& cluster, const std::string& table,
   RknnOutcome out;
   const std::size_t n = cluster.num_nodes();
   CohortSession session(cluster, coordinator);
-  const auto trees = build_trees(cluster, table, cols);
+  const auto trees = build_kdtrees(cluster.partitions(table), cols);
 
   // Phase 1 — local filter: a tuple whose distance to q exceeds its k-th
   // *local* NN distance certainly has k closer neighbours overall, so it
@@ -215,7 +204,7 @@ KnnRetrieval retrieve_from_nodes(Cluster& cluster, const std::string& table,
                                  NodeId coordinator) {
   KnnRetrieval out;
   CohortSession session(cluster, coordinator);
-  const auto trees = build_trees(cluster, table, cols);
+  const auto trees = build_kdtrees(cluster.partitions(table), cols);
   std::vector<RknnResult> merged;
   for (const auto node : nodes) {
     if (trees[node].empty()) continue;
@@ -378,7 +367,7 @@ KnnJoinOutcome knn_join_indexed(Cluster& cluster, const std::string& table_a,
   KnnJoinOutcome out;
   const std::size_t n = cluster.num_nodes();
   CohortSession session(cluster, coordinator);
-  const auto trees = build_trees(cluster, table_b, cols_b);
+  const auto trees = build_kdtrees(cluster.partitions(table_b), cols_b);
 
   double dist_sum = 0.0;
   for (std::size_t anode = 0; anode < n; ++anode) {

@@ -150,11 +150,7 @@ ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
   if (it != index_cache_.end()) return it->second;
   Timer t;
   NodeIndexes idx;
-  idx.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-    const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    idx.per_node.push_back(build_kdtree(part, cols));
-  }
+  idx.per_node = build_kdtrees(cluster_.partitions(table_), cols);
   index_build_ms_ += t.elapsed_ms();
   return index_cache_.emplace(key, std::move(idx)).first->second;
 }
@@ -164,16 +160,19 @@ const std::vector<std::vector<double>>& ExactExecutor::slot_targets(
   auto it = idx.slot_targets.find(col);
   if (it != idx.slot_targets.end()) return it->second;
   // A column copy, not a build: the time stays on the query that needs
-  // it, so index_build_ms() keeps counting tree builds only.
+  // it, so index_build_ms() keeps counting tree builds only. Like the
+  // builds, the copies are allocated here and filled one node per task.
   std::vector<std::vector<double>> per_node(idx.per_node.size());
+  std::vector<std::span<const double>> src(per_node.size());
   for (std::size_t n = 0; n < per_node.size(); ++n) {
-    const auto src =
-        cluster_.partition(table_, static_cast<NodeId>(n)).column(col);
-    const auto ids = idx.per_node[n].slot_ids();
-    per_node[n].resize(ids.size());
-    for (std::size_t s = 0; s < ids.size(); ++s)
-      per_node[n][s] = src[static_cast<std::size_t>(ids[s])];
+    per_node[n].resize(idx.per_node[n].size());
+    src[n] = cluster_.partition(table_, static_cast<NodeId>(n)).column(col);
   }
+  ParallelFor(per_node.size(), [&](std::size_t n) {
+    const auto ids = idx.per_node[n].slot_ids();
+    for (std::size_t s = 0; s < ids.size(); ++s)
+      per_node[n][s] = src[n][static_cast<std::size_t>(ids[s])];
+  });
   return idx.slot_targets.emplace(col, std::move(per_node)).first->second;
 }
 

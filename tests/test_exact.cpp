@@ -5,6 +5,7 @@
 
 #include <bit>
 
+#include "common/parallel.h"
 #include "sea/exact.h"
 #include "test_util.h"
 
@@ -298,6 +299,94 @@ TEST(ExactExecutor, KdIndexedAccountingPinned) {
   EXPECT_EQ(stats.bytes_read, 24395976ull);
   EXPECT_EQ(stats.index_probes, 646ull);
   EXPECT_EQ(fold.h, 0xb09990cb96d3cb69ull) << std::hex << fold.h;
+}
+
+/// Every bit of an indexed execution: answer, aggregate state and report.
+std::uint64_t result_bits(const ExactResult& r) {
+  PinFold fold;
+  fold.f64(r.answer);
+  fold.u64(r.qualifying_tuples);
+  fold.u64(r.state.count);
+  for (const double v : {r.state.sum_t, r.state.sum_tt, r.state.sum_u,
+                         r.state.sum_uu, r.state.sum_tu})
+    fold.f64(v);
+  const ExecReport& rep = r.report;
+  for (const double v :
+       {rep.modelled_network_ms, rep.modelled_network_ms_critical,
+        rep.modelled_overhead_ms, rep.modelled_backoff_ms})
+    fold.f64(v);
+  for (const std::uint64_t v :
+       {rep.shuffle_bytes, rep.result_bytes, rep.map_tasks, rep.reduce_tasks,
+        rep.rpc_round_trips})
+    fold.u64(v);
+  return fold.h;
+}
+
+// Rows written after the first build: invalidate_caches() makes the next
+// indexed query rebuild every partition's tree, and those trees must
+// answer exactly like a freshly constructed executor's — bit for bit, at
+// SEA_THREADS 1 and 8. The rebuild is charged to index_build_ms() once,
+// by the first query after the write; later queries hit the cache.
+TEST(ExactExecutor, RebuildAfterWritesMatchesFreshExecutor) {
+  const std::size_t before = configured_threads();
+  std::vector<std::vector<std::uint64_t>> bits_by_threads;
+  for (const std::size_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    set_configured_threads(threads);
+    const Table t = small_dataset(12000, 2, 43);
+    Cluster c = testing::make_cluster(t, "t", 4);
+    ExactExecutor exec(c, "t");
+    const Rect domain = exec.domain({0, 1});
+    Rng rng(44);
+    std::vector<AnalyticalQuery> queries;
+    for (const SelectionType sel :
+         {SelectionType::kRange, SelectionType::kRadius,
+          SelectionType::kNearestNeighbors})
+      for (const AnalyticType an :
+           {AnalyticType::kCount, AnalyticType::kAvg,
+            AnalyticType::kCorrelation})
+        queries.push_back(make_query(Case{sel, an}, rng, domain));
+    for (const auto& q : queries)
+      exec.execute(q, ExecParadigm::kCoordinatorIndexed);
+
+    // The write: every partition drops its oldest 5% and gains new rows.
+    Rng wr(45);
+    for (std::size_t n = 0; n < c.num_nodes(); ++n) {
+      Table& part = c.mutable_partition("t", static_cast<NodeId>(n));
+      part.erase_rows(0, part.num_rows() / 20);
+      for (int i = 0; i < 200; ++i) {
+        const double x0 = wr.uniform(domain.lo[0], domain.hi[0]);
+        const double x1 = wr.uniform(domain.lo[1], domain.hi[1]);
+        const double row[] = {x0, x1, 2.0 * x0 - x1 + wr.normal(0.0, 0.1)};
+        part.append_row(row);
+      }
+    }
+    exec.invalidate_caches();
+    const double built_before = exec.index_build_ms();
+    ExactExecutor fresh(c, "t");
+    std::vector<std::uint64_t> bits;
+    double built_after = 0.0, fresh_built = 0.0;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const ExactResult r =
+          exec.execute(queries[i], ExecParadigm::kCoordinatorIndexed);
+      const ExactResult f =
+          fresh.execute(queries[i], ExecParadigm::kCoordinatorIndexed);
+      EXPECT_EQ(result_bits(r), result_bits(f)) << "query " << i;
+      bits.push_back(result_bits(r));
+      if (i == 0) {
+        EXPECT_GT(exec.index_build_ms(), built_before);
+        EXPECT_GT(fresh.index_build_ms(), 0.0);
+        built_after = exec.index_build_ms();
+        fresh_built = fresh.index_build_ms();
+      } else {
+        EXPECT_EQ(exec.index_build_ms(), built_after);
+        EXPECT_EQ(fresh.index_build_ms(), fresh_built);
+      }
+    }
+    bits_by_threads.push_back(std::move(bits));
+  }
+  EXPECT_EQ(bits_by_threads[0], bits_by_threads[1]);
+  set_configured_threads(before);
 }
 
 }  // namespace

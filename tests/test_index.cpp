@@ -8,8 +8,10 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <set>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generator.h"
 #include "index/bloom.h"
@@ -404,7 +406,230 @@ TEST_P(KdFusedDiff, VisitorsMatchMaterializedIds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, KdFusedDiff, ::testing::Values(1, 2, 3, 5, 8));
+// d = 12 is past the record builder's compile-time dimensionalities, so it
+// keeps the indirect builder covered.
+INSTANTIATE_TEST_SUITE_P(Dims, KdFusedDiff,
+                         ::testing::Values(1, 2, 3, 5, 8, 12));
+
+// ---- build: the record builder against the indirect builder it replaced ----
+
+/// Test-local copy of the indirect builder: std::nth_element over u32
+/// indices into the row-major input, per-node bounds rescans, preorder
+/// node layout. Keeps the slot order and the nodes so a range walk's ids
+/// and KdQueryCost can be recomputed without the library's tree.
+class RefKdTree {
+ public:
+  RefKdTree(std::size_t d, std::vector<double> pts)
+      : d_(d), pts_(std::move(pts)), order_(pts_.size() / d) {
+    std::iota(order_.begin(), order_.end(), 0u);
+    if (order_.empty()) return;
+    const auto n = static_cast<std::uint32_t>(order_.size());
+    nodes_.resize(subtree_nodes(n));
+    bounds_.resize(nodes_.size() * 2 * d_);
+    build_at(0, n, 0);
+  }
+
+  std::vector<std::uint64_t> slot_ids() const {
+    return {order_.begin(), order_.end()};
+  }
+
+  /// Ids in walk order and the walk's cost for a closed rectangle: the
+  /// library's right-first walk with IdCollector semantics.
+  std::vector<std::uint64_t> range_query(const Rect& r,
+                                         KdQueryCost* cost) const {
+    std::vector<std::uint64_t> out;
+    if (!order_.empty()) walk(r, 0, out, *cost);
+    return out;
+  }
+
+ private:
+  static constexpr std::uint32_t kLeaf = 16;  // KdTree::kLeafSize
+  struct Node {
+    std::uint32_t begin, end, right, nodes;
+  };
+
+  static std::uint32_t subtree_nodes(std::uint32_t count) {
+    if (count <= kLeaf) return 1;
+    return 1 + subtree_nodes(count / 2) + subtree_nodes(count - count / 2);
+  }
+  const double* at(std::uint32_t i) const { return pts_.data() + i * d_; }
+  const double* lo(std::uint32_t node) const {
+    return bounds_.data() + node * 2 * d_;
+  }
+
+  void build_at(std::uint32_t begin, std::uint32_t end, std::uint32_t self) {
+    Node& node = nodes_[self];
+    node = {begin, end, 0, subtree_nodes(end - begin)};
+    double* lo = bounds_.data() + self * 2 * d_;
+    double* hi = lo + d_;
+    std::copy(at(order_[begin]), at(order_[begin]) + d_, lo);
+    std::copy(at(order_[begin]), at(order_[begin]) + d_, hi);
+    for (std::uint32_t i = begin + 1; i < end; ++i) {
+      for (std::size_t j = 0; j < d_; ++j) {
+        lo[j] = std::min(lo[j], at(order_[i])[j]);
+        hi[j] = std::max(hi[j], at(order_[i])[j]);
+      }
+    }
+    if (end - begin <= kLeaf) return;
+    std::size_t axis = 0;
+    double widest = -1.0;
+    for (std::size_t j = 0; j < d_; ++j) {
+      if (hi[j] - lo[j] > widest) {
+        widest = hi[j] - lo[j];
+        axis = j;
+      }
+    }
+    const std::uint32_t mid = begin + (end - begin) / 2;
+    std::nth_element(order_.begin() + begin, order_.begin() + mid,
+                     order_.begin() + end,
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return at(a)[axis] < at(b)[axis];
+                     });
+    node.right = self + 1 + subtree_nodes(mid - begin);
+    build_at(begin, mid, self + 1);
+    build_at(mid, end, node.right);
+  }
+
+  void emit_all(std::uint32_t idx, std::vector<std::uint64_t>& out) const {
+    const Node& n = nodes_[idx];
+    if (n.right == 0) {
+      for (std::uint32_t s = n.begin; s < n.end; ++s) out.push_back(order_[s]);
+      return;
+    }
+    emit_all(n.right, out);
+    emit_all(idx + 1, out);
+  }
+
+  void walk(const Rect& r, std::uint32_t idx, std::vector<std::uint64_t>& out,
+            KdQueryCost& cost) const {
+    const Node& n = nodes_[idx];
+    const double* l = lo(idx);
+    const double* h = l + d_;
+    bool disjoint = false, inside = true;
+    for (std::size_t j = 0; j < d_; ++j) {
+      disjoint |= (h[j] < r.lo[j]) | (l[j] > r.hi[j]);
+      inside &= (r.lo[j] <= l[j]) & (h[j] <= r.hi[j]);
+    }
+    if (disjoint) {
+      ++cost.nodes_visited;
+    } else if (inside) {
+      cost.nodes_visited += n.nodes;
+      cost.points_examined += n.end - n.begin;
+      emit_all(idx, out);
+    } else if (n.right != 0) {
+      ++cost.nodes_visited;
+      walk(r, n.right, out, cost);
+      walk(r, idx + 1, out, cost);
+    } else {
+      ++cost.nodes_visited;
+      cost.points_examined += n.end - n.begin;
+      for (std::uint32_t s = n.begin; s < n.end; ++s) {
+        bool in = true;
+        for (std::size_t j = 0; j < d_; ++j)
+          in &= !(at(order_[s])[j] < r.lo[j]) & !(at(order_[s])[j] > r.hi[j]);
+        if (in) out.push_back(order_[s]);
+      }
+    }
+  }
+
+  std::size_t d_;
+  std::vector<double> pts_;
+  std::vector<std::uint32_t> order_;
+  std::vector<Node> nodes_;
+  std::vector<double> bounds_;
+};
+
+enum class BuildData { kClustered, kDuplicates, kAllEqual, kSignedZeros, kNaN };
+
+constexpr BuildData kBuildDataKinds[] = {
+    BuildData::kClustered, BuildData::kDuplicates, BuildData::kAllEqual,
+    BuildData::kSignedZeros, BuildData::kNaN};
+
+/// Row-major points stressing the median splits: tight blobs, a 0.25
+/// lattice (many ties), one repeated point, +0.0/-0.0 mixed with a few
+/// values, and uniform data with ~10% NaN coordinates.
+std::vector<double> build_data(BuildData kind, std::size_t n, std::size_t d,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> centres(3 * d);
+  for (auto& v : centres) v = rng.uniform();
+  std::vector<double> out(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      double& v = out[i * d + j];
+      switch (kind) {
+        case BuildData::kClustered:
+          v = centres[(i % 3) * d + j] + rng.normal(0.0, 0.02);
+          break;
+        case BuildData::kDuplicates:
+          v = 0.25 * static_cast<double>(rng.uniform_index(5));
+          break;
+        case BuildData::kAllEqual:
+          v = 0.5;
+          break;
+        case BuildData::kSignedZeros: {
+          constexpr double kPick[] = {0.0, -0.0, 0.0, -0.0, 1.0, -1.0};
+          v = kPick[rng.uniform_index(std::size(kPick))];
+          break;
+        }
+        case BuildData::kNaN:
+          v = rng.uniform() < 0.1 ? std::numeric_limits<double>::quiet_NaN()
+                                  : rng.uniform();
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+class KdBuildDiff : public ::testing::TestWithParam<std::size_t> {};
+
+// 100 seeds x every data kind, sizes around the leaf size (16), the
+// direct-to-pool subtree size (1024) and the parallel-build threshold
+// (4096); under SEA_THREADS=8 the larger trees build by subtree on the
+// pool. The slot order must equal the reference builder's, and range walks
+// must return the same ids in the same order at the same cost.
+TEST_P(KdBuildDiff, RecordBuilderMatchesIndirectReference) {
+  const std::size_t d = GetParam();
+  constexpr std::size_t kSizes[] = {0,   1,    15,   16,   17,   33,  300,
+                                    1023, 1025, 4095, 4096, 4097, 9000};
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const BuildData kind : kBuildDataKinds) {
+      const std::size_t n =
+          kSizes[(seed + d + static_cast<std::size_t>(kind)) %
+                 std::size(kSizes)];
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " kind=" + std::to_string(static_cast<int>(kind)) +
+                   " n=" + std::to_string(n));
+      const auto pts = build_data(kind, n, d, seed * 131 + d);
+      const KdTree tree(d, pts);
+      const RefKdTree ref(d, pts);
+      const auto ref_ids = ref.slot_ids();
+      ASSERT_TRUE(std::equal(tree.slot_ids().begin(), tree.slot_ids().end(),
+                             ref_ids.begin(), ref_ids.end()));
+      Rng rng(seed * 17 + d);
+      for (int q = 0; q < 4; ++q) {
+        Rect r;
+        for (std::size_t j = 0; j < d; ++j) {
+          double a = rng.uniform(-1.1, 1.1), b = rng.uniform(-1.1, 1.1);
+          if (n > 0 && rng.uniform() < 0.5) {
+            const double snap = pts[rng.uniform_index(n) * d + j];
+            if (!std::isnan(snap)) a = snap;
+          }
+          r.lo.push_back(std::min(a, b));
+          r.hi.push_back(std::max(a, b));
+        }
+        KdQueryCost got_cost, ref_cost;
+        EXPECT_EQ(tree.range_query(r, &got_cost),
+                  ref.range_query(r, &ref_cost));
+        EXPECT_TRUE(same_cost(got_cost, ref_cost));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KdBuildDiff,
+                         ::testing::Values(1, 2, 3, 5, 8, 12));
 
 TEST(KdTree, EmptyTreeVisitsNothing) {
   for (const KdTree& tree : {KdTree(), KdTree(std::vector<Point>{}),
@@ -485,6 +710,75 @@ TEST(BuildKdTreeFromTable, UsesRowIndices) {
   auto got = tree.range_query(all);
   EXPECT_EQ(got.size(), 200u);
   EXPECT_LT(*std::max_element(got.begin(), got.end()), 200u);
+}
+
+/// Expects both trees to hold the same slots and to answer range and
+/// radius walks with the same ids, in the same order, at the same cost.
+void expect_same_tree(const KdTree& a, const KdTree& b, std::size_t d,
+                      std::uint64_t seed) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.dims(), b.dims());
+  EXPECT_TRUE(std::equal(a.slot_ids().begin(), a.slot_ids().end(),
+                         b.slot_ids().begin(), b.slot_ids().end()));
+  if (a.empty()) return;
+  Rng rng(seed);
+  for (int i = 0; i < 8; ++i) {
+    Rect r;
+    Ball ball;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double c = rng.uniform(-1.0, 2.0), w = rng.uniform(0.05, 1.5);
+      r.lo.push_back(c - w);
+      r.hi.push_back(c + w);
+      ball.center.push_back(c);
+    }
+    ball.radius = rng.uniform(0.1, 2.0);
+    KdQueryCost ca, cb;
+    EXPECT_EQ(a.range_query(r, &ca), b.range_query(r, &cb));
+    EXPECT_EQ(a.radius_query(ball, &ca), b.radius_query(ball, &cb));
+    EXPECT_TRUE(same_cost(ca, cb));
+  }
+}
+
+// The shard fan-out builds the same trees as one build_kdtree per table
+// and as the flat constructor, serially or on 8 workers: across partition
+// sizes around the parallel threshold, an empty partition, reordered
+// columns, and d = 12 (indirect builder, one partition at a time).
+TEST(BuildKdTrees, MatchesPerTableBuildsAtAnyThreadCount) {
+  const std::size_t before = configured_threads();
+  constexpr std::size_t kRows[] = {5000, 0, 17, 4097, 300, 9000};
+  for (const std::size_t d : {1, 2, 5, 12}) {
+    std::vector<Table> tables;
+    for (std::size_t p = 0; p < std::size(kRows); ++p)
+      tables.push_back(make_clustered_dataset(kRows[p], d, 3, 60 + p + d));
+    std::vector<const Table*> parts;
+    for (const Table& t : tables) parts.push_back(&t);
+    std::vector<std::size_t> cols(d);
+    std::iota(cols.rbegin(), cols.rend(), std::size_t{0});  // d-1, ..., 0
+    // build_kdtree per table, and the flat constructor over the same
+    // coordinates gathered here (a second loading path).
+    std::vector<KdTree> per_table, flat;
+    for (const Table& t : tables) {
+      per_table.push_back(build_kdtree(t, cols));
+      std::vector<double> coords;
+      for (std::size_t r = 0; r < t.num_rows(); ++r)
+        for (const std::size_t c : cols) coords.push_back(t.at(r, c));
+      flat.push_back(KdTree(d, std::move(coords)));
+    }
+    for (const std::size_t threads : {1, 8}) {
+      SCOPED_TRACE("d=" + std::to_string(d) +
+                   " threads=" + std::to_string(threads));
+      set_configured_threads(threads);
+      const std::vector<KdTree> shards = build_kdtrees(parts, cols);
+      ASSERT_EQ(shards.size(), tables.size());
+      for (std::size_t p = 0; p < tables.size(); ++p) {
+        EXPECT_EQ(shards[p].size(), kRows[p]);
+        expect_same_tree(shards[p], per_table[p], d, 70 + p);
+        expect_same_tree(shards[p], flat[p], d, 80 + p);
+      }
+    }
+  }
+  EXPECT_TRUE(build_kdtrees({}, std::vector<std::size_t>{0, 1}).empty());
+  set_configured_threads(before);
 }
 
 class GridDims : public ::testing::TestWithParam<std::size_t> {};
