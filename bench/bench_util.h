@@ -46,37 +46,25 @@ inline void row(const char* fmt, ...) {
   std::printf("\n");
 }
 
-/// Ground truth over the raw table (no accounting), via the columnar
-/// selection kernels. Row-order aggregation over the ascending selection
-/// vector keeps the arithmetic identical to the old gathered-Point scan.
+/// Ground truth over the raw table (no accounting), via the same fused
+/// scans as a MapReduce map task: range/radius fold their qualifying rows
+/// in ascending row order, and kNN folds the k nearest rows in (distance,
+/// row) order (data/columnar.h).
 inline double truth_of(const Table& table, const AnalyticalQuery& q) {
-  AggregateState agg;
+  if (q.selection != SelectionType::kNearestNeighbors)
+    return scan_aggregate(table, q).finalize(q.analytic);
+  std::vector<NearRow> nearest;
+  nearest_rows(table, q.subspace_cols, q.knn_point, q.knn_k, nearest);
   const std::span<const double> t_col =
       needs_target(q.analytic) ? table.column(q.target_col)
                                : std::span<const double>();
   const std::span<const double> u_col =
       needs_second_target(q.analytic) ? table.column(q.target_col2)
                                       : std::span<const double>();
-  const auto add_row = [&](std::size_t r) {
-    agg.add(t_col.empty() ? 0.0 : t_col[r], u_col.empty() ? 0.0 : u_col[r]);
-  };
-  if (q.selection == SelectionType::kNearestNeighbors) {
-    std::vector<double> d2;
-    squared_distances(table, q.subspace_cols, q.knn_point, d2);
-    std::vector<std::pair<double, std::size_t>> knn;
-    knn.reserve(d2.size());
-    for (std::size_t r = 0; r < d2.size(); ++r) knn.emplace_back(d2[r], r);
-    std::sort(knn.begin(), knn.end());
-    const std::size_t take = std::min(q.knn_k, knn.size());
-    for (std::size_t i = 0; i < take; ++i) add_row(knn[i].second);
-    return agg.finalize(q.analytic);
-  }
-  std::vector<std::uint32_t> sel;
-  if (q.selection == SelectionType::kRange)
-    select_range(table, q.subspace_cols, q.range, sel);
-  else
-    select_ball(table, q.subspace_cols, q.ball, sel);
-  for (const std::uint32_t r : sel) add_row(r);
+  AggregateState agg;
+  for (const NearRow& n : nearest)
+    agg.add(t_col.empty() ? 0.0 : t_col[n.row],
+            u_col.empty() ? 0.0 : u_col[n.row]);
   return agg.finalize(q.analytic);
 }
 

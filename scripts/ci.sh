@@ -40,7 +40,10 @@ run_preset default
 # build_kdtrees call: byte-equal slot_ids at 1 and 2 threads; its ratio to a
 # std::sort of the same (key, id) pairs is recorded, not gated), and the
 # fused k-d probes on byte-equal answers and their speedup over
-# id-materializing probes — relative checks, never absolute ms thresholds,
+# id-materializing probes, and the MapReduce map tasks of explore_100k's
+# three query shapes (mr_map_range_count, mr_map_radius_avg gated on
+# byte-equal states and speedup over a branchy row loop; mr_map_knn_sum's
+# ratio recorded) — relative checks, never absolute ms thresholds,
 # so the stage is stable on any host. Writes BENCH_micro.json as the
 # machine-readable perf record.
 echo "=== [default] perf-smoke (bench_micro --perf-smoke) ==="

@@ -257,14 +257,9 @@ AqpAnswer SamplingEngine::answer(const AnalyticalQuery& query) {
   job.result_bytes = sizeof(WeightedAgg);
   job.map = [&query, wcol](NodeId, const Table& part,
                            Emitter<int, WeightedAgg>& out_) {
-    // Columnar selection (ascending row ids, same per-row arithmetic as
-    // the old gathered-Point scan), then span reads of the weight/target
-    // columns in selection order — byte-identical accumulation.
-    std::vector<std::uint32_t> sel;
-    if (query.selection == SelectionType::kRange)
-      select_range(part, query.subspace_cols, query.range, sel);
-    else
-      select_ball(part, query.subspace_cols, query.ball, sel);
+    // Fused columnar scan: each block's qualifying rows (ascending ids)
+    // are folded while in cache, in row order — the same adds in the same
+    // order as folding one whole-partition selection vector.
     const auto w_col = part.column(wcol);
     const std::span<const double> t_col = needs_target(query.analytic)
                                               ? part.column(query.target_col)
@@ -273,9 +268,15 @@ AqpAnswer SamplingEngine::answer(const AnalyticalQuery& query) {
         needs_second_target(query.analytic) ? part.column(query.target_col2)
                                             : std::span<const double>();
     WeightedAgg agg;
-    for (const std::uint32_t r : sel)
-      agg.add(w_col[r], t_col.empty() ? 0.0 : t_col[r],
-              u_col.empty() ? 0.0 : u_col[r]);
+    const auto fold = [&](std::span<const std::uint32_t> ids) {
+      for (const std::uint32_t r : ids)
+        agg.add(w_col[r], t_col.empty() ? 0.0 : t_col[r],
+                u_col.empty() ? 0.0 : u_col[r]);
+    };
+    if (query.selection == SelectionType::kRange)
+      visit_range(part, query.subspace_cols, query.range, fold);
+    else
+      visit_ball(part, query.subspace_cols, query.ball, fold);
     out_.emit(0, agg);
   };
   job.reduce = [](const int&, std::vector<WeightedAgg>& states) {

@@ -51,6 +51,9 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double s) {
 
 std::size_t ZipfDistribution::operator()(Rng& rng) const noexcept {
   const double u = rng.uniform();
+  // One rank needs no search, but the draw above still advances the
+  // stream, so every later draw stays the same.
+  if (cdf_.size() == 1) return 0;
   const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
   return static_cast<std::size_t>(it - cdf_.begin());
 }

@@ -1,123 +1,78 @@
 #include "data/columnar.h"
 
-#include <stdexcept>
-
 #include "common/primitives.h"
 
 namespace sea {
 
-namespace {
-
-/// Collects per-block partial selections (each a pure function of the
-/// block's rows), then concatenates them in block order — ascending row
-/// ids, independent of the worker count.
-template <typename BlockSelect>
-void blocked_select(std::size_t num_rows, std::vector<std::uint32_t>& sel,
-                    BlockSelect&& block_select) {
-  sel.clear();
-  const par::BlockPlan p = par::plan(num_rows);
-  if (p.blocks == 0) return;
-  std::vector<std::vector<std::uint32_t>> partial(p.blocks);
-  ParallelFor(p.blocks, [&](std::size_t b) {
-    block_select(p.begin(b), p.end(b), partial[b]);
-  });
-  std::size_t total = 0;
-  for (const auto& part : partial) total += part.size();
-  sel.reserve(total);
-  for (const auto& part : partial)
-    sel.insert(sel.end(), part.begin(), part.end());
-}
-
-}  // namespace
-
 void select_range(const Table& table, std::span<const std::size_t> cols,
                   const Rect& rect, std::vector<std::uint32_t>& sel) {
-  if (rect.dims() != cols.size())
-    throw std::invalid_argument("select_range: dims mismatch");
-  std::vector<std::span<const double>> spans;
-  spans.reserve(cols.size());
-  for (const std::size_t c : cols) spans.push_back(table.column(c));
-  blocked_select(
-      table.num_rows(), sel,
-      [&](std::size_t begin, std::size_t end,
-          std::vector<std::uint32_t>& out) {
-        if (cols.empty()) {  // empty subspace: every row qualifies
-          out.reserve(end - begin);
-          for (std::size_t r = begin; r < end; ++r)
-            out.push_back(static_cast<std::uint32_t>(r));
-          return;
-        }
-        // First column seeds the candidate list; each further column
-        // compacts it in place (column-at-a-time, one span streamed per
-        // pass over the surviving candidates).
-        const auto c0 = spans[0];
-        const double lo0 = rect.lo[0], hi0 = rect.hi[0];
-        for (std::size_t r = begin; r < end; ++r)
-          if (c0[r] >= lo0 && c0[r] <= hi0)
-            out.push_back(static_cast<std::uint32_t>(r));
-        for (std::size_t d = 1; d < cols.size() && !out.empty(); ++d) {
-          const auto cd = spans[d];
-          const double lo = rect.lo[d], hi = rect.hi[d];
-          std::size_t kept = 0;
-          for (const std::uint32_t r : out)
-            if (cd[r] >= lo && cd[r] <= hi) out[kept++] = r;
-          out.resize(kept);
-        }
-      });
-}
-
-void squared_distances(const Table& table, std::span<const std::size_t> cols,
-                       std::span<const double> center,
-                       std::vector<double>& out) {
-  if (center.size() != cols.size())
-    throw std::invalid_argument("squared_distances: dims mismatch");
-  std::vector<std::span<const double>> spans;
-  spans.reserve(cols.size());
-  for (const std::size_t c : cols) spans.push_back(table.column(c));
-  out.assign(table.num_rows(), 0.0);
-  const par::BlockPlan p = par::plan(table.num_rows());
-  if (p.blocks == 0) return;
-  ParallelFor(p.blocks, [&](std::size_t b) {
-    const std::size_t begin = p.begin(b), end = p.end(b);
-    // Column-at-a-time accumulation: per row the adds happen in dimension
-    // order, exactly like squared_distance() over a gathered Point.
-    for (std::size_t d = 0; d < cols.size(); ++d) {
-      const auto cd = spans[d];
-      const double c = center[d];
-      for (std::size_t r = begin; r < end; ++r) {
-        const double diff = cd[r] - c;
-        out[r] += diff * diff;
-      }
-    }
+  sel.clear();
+  visit_range(table, cols, rect, [&](std::span<const std::uint32_t> ids) {
+    sel.insert(sel.end(), ids.begin(), ids.end());
   });
 }
 
 void select_ball(const Table& table, std::span<const std::size_t> cols,
                  const Ball& ball, std::vector<std::uint32_t>& sel) {
-  if (ball.dims() != cols.size())
-    throw std::invalid_argument("select_ball: dims mismatch");
-  std::vector<std::span<const double>> spans;
-  spans.reserve(cols.size());
-  for (const std::size_t c : cols) spans.push_back(table.column(c));
-  const double r2 = ball.radius * ball.radius;
-  blocked_select(
-      table.num_rows(), sel,
-      [&](std::size_t begin, std::size_t end,
-          std::vector<std::uint32_t>& out) {
-        // Block-local distance buffer, accumulated column-at-a-time in
-        // dimension order (bit-equal to squared_distance on each row).
-        std::vector<double> d2(end - begin, 0.0);
-        for (std::size_t d = 0; d < cols.size(); ++d) {
-          const auto cd = spans[d];
-          const double c = ball.center[d];
-          for (std::size_t r = begin; r < end; ++r) {
-            const double diff = cd[r] - c;
-            d2[r - begin] += diff * diff;
-          }
-        }
-        for (std::size_t r = begin; r < end; ++r)
-          if (d2[r - begin] <= r2) out.push_back(static_cast<std::uint32_t>(r));
-      });
+  sel.clear();
+  visit_ball(table, cols, ball, [&](std::span<const std::uint32_t> ids) {
+    sel.insert(sel.end(), ids.begin(), ids.end());
+  });
+}
+
+namespace {
+
+/// (distance_rank, row) order: nearer first, ties by row.
+bool nearer(const NearRow& a, const NearRow& b) noexcept {
+  const std::uint64_t ra = distance_rank(a.d2), rb = distance_rank(b.d2);
+  return ra != rb ? ra < rb : a.row < b.row;
+}
+
+/// Replaces the top (farthest) entry of the max-heap `heap` with `v`.
+void replace_top(std::span<NearRow> heap, NearRow v) noexcept {
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= heap.size()) break;
+    if (c + 1 < heap.size() && nearer(heap[c], heap[c + 1])) ++c;
+    if (!nearer(v, heap[c])) break;
+    heap[i] = heap[c];
+    i = c;
+  }
+  heap[i] = v;
+}
+
+}  // namespace
+
+void nearest_rows(const Table& table, std::span<const std::size_t> cols,
+                  std::span<const double> center, std::size_t k,
+                  std::vector<NearRow>& out) {
+  if (center.size() != cols.size())
+    throw std::invalid_argument("nearest_rows: dims mismatch");
+  out.clear();
+  const std::size_t take = std::min(k, table.num_rows());
+  if (take == 0) return;
+  out.reserve(take);
+  std::uint64_t worst = 0;  // rank of the heap's top once it is full
+  visit_distances(table, cols, center,
+                  [&](std::uint32_t first, std::span<const double> d2) {
+    std::size_t i = 0;
+    if (out.size() < take) {
+      for (; i < d2.size() && out.size() < take; ++i)
+        out.push_back({d2[i], first + static_cast<std::uint32_t>(i)});
+      if (out.size() < take) return;
+      std::make_heap(out.begin(), out.end(), nearer);
+      worst = distance_rank(out.front().d2);
+    }
+    // Rows arrive ascending, so a row that ties the top's rank is farther
+    // in (rank, row) order and never displaces it.
+    for (; i < d2.size(); ++i) {
+      if (distance_rank(d2[i]) >= worst) continue;
+      replace_top(out, {d2[i], first + static_cast<std::uint32_t>(i)});
+      worst = distance_rank(out.front().d2);
+    }
+  });
+  std::sort_heap(out.begin(), out.end(), nearer);
 }
 
 ColumnAggregates aggregate_column(std::span<const double> column,

@@ -32,6 +32,12 @@ void KnnRegressor::add(Point x, double y) {
   ys_.push_back(y);
 }
 
+void KnnRegressor::pop_front() {
+  if (xs_.empty()) throw std::logic_error("KnnRegressor::pop_front: empty");
+  xs_.erase(xs_.begin());
+  ys_.erase(ys_.begin());
+}
+
 void KnnRegressor::clear() noexcept {
   xs_.clear();
   ys_.clear();

@@ -19,6 +19,9 @@ class KnnRegressor {
   explicit KnnRegressor(std::size_t k = 5) : k_(k) {}
 
   void add(Point x, double y);
+  /// Drops the oldest stored example. The rest keep their relative order,
+  /// so predict() breaks distance ties as a store built from them would.
+  void pop_front();
   void clear() noexcept;
 
   std::size_t size() const noexcept { return xs_.size(); }

@@ -324,10 +324,7 @@ void DatalessAgent::absorb(const AnalyticalQuery& query, double exact_answer,
   if (qm.xs.size() >= config_.max_samples_per_quantum) {
     qm.xs.erase(qm.xs.begin());
     qm.ys.erase(qm.ys.begin());
-    // kNN store is rebuilt periodically by refits; rebuild here to stay
-    // consistent with the bounded window.
-    qm.knn.clear();
-    for (std::size_t i = 0; i < qm.xs.size(); ++i) qm.knn.add(qm.xs[i], qm.ys[i]);
+    qm.knn.pop_front();
   }
   qm.xs.push_back(f.model);
   qm.ys.push_back(exact_answer / scale);

@@ -283,80 +283,84 @@ AggregateState ExactExecutor::aggregate_rows(
   return agg;
 }
 
+AggregateState scan_aggregate(const Table& part, const AnalyticalQuery& q) {
+  const TargetColumns tc(part, q);
+  AggregateState agg;
+  const auto fold = [&](std::span<const std::uint32_t> ids) {
+    if (tc.t.empty()) {
+      agg.count += ids.size();  // add(0, 0) leaves every sum at +0.0
+      return;
+    }
+    AggregateState a = agg;  // a local: the sums stay in registers
+    if (tc.u.empty()) {
+      for (const std::uint32_t r : ids) a.add(tc.t[r], 0.0);
+    } else {
+      for (const std::uint32_t r : ids) a.add(tc.t[r], tc.u[r]);
+    }
+    agg = a;
+  };
+  if (q.selection == SelectionType::kRange)
+    visit_range(part, q.subspace_cols, q.range, fold);
+  else if (q.selection == SelectionType::kRadius)
+    visit_ball(part, q.subspace_cols, q.ball, fold);
+  else
+    throw std::invalid_argument("scan_aggregate: kNN has no row predicate");
+  return agg;
+}
+
 ExactResult ExactExecutor::execute_mapreduce(const AnalyticalQuery& q,
                                              QueryDeadline* deadline) {
-  ExactResult out;
+  const auto finish = [&q](const auto& mr) {
+    AggregateState total;
+    for (const auto& [key, agg] : mr.results) {
+      (void)key;
+      total.merge(agg);
+    }
+    ExactResult out;
+    out.answer = total.finalize(q.analytic);
+    out.state = total;
+    out.qualifying_tuples = total.count;
+    out.report = mr.report;
+    return out;
+  };
   if (q.selection == SelectionType::kNearestNeighbors) {
-    // Map: local top-k candidates from a full scan; reduce: global top-k.
+    // Map: the partition's k nearest rows from one bounded-heap scan,
+    // emitted ascending by (distance, row); reduce: the global k nearest.
     MapReduceJob<int, KnnCand, AggregateState> job;
     job.kv_bytes = sizeof(KnnCand);
     job.result_bytes = AggregateState::kWireBytes;
     const std::size_t k = q.knn_k;
     job.map = [&q, k](NodeId, const Table& part, Emitter<int, KnnCand>& out_) {
-      // Columnar distance kernel: per-row accumulation runs in column
-      // order, so sqrt(d2[r]) is bit-equal to euclidean_distance on a
-      // gathered Point (see columnar.h).
-      std::vector<double> d2;
-      squared_distances(part, q.subspace_cols, q.knn_point, d2);
+      std::vector<NearRow> nearest;
+      nearest_rows(part, q.subspace_cols, q.knn_point, k, nearest);
       const TargetColumns tc(part, q);
-      std::vector<KnnCand> local(part.num_rows());
-      for (std::size_t r = 0; r < part.num_rows(); ++r) {
-        local[r].dist = std::sqrt(d2[r]);
-        local[r].t = tc.t_of(r);
-        local[r].u = tc.u_of(r);
-      }
-      const std::size_t take = std::min(k, local.size());
-      std::partial_sort(local.begin(),
-                        local.begin() + static_cast<std::ptrdiff_t>(take),
-                        local.end(), [](const KnnCand& a, const KnnCand& b) {
-                          return a.dist < b.dist;
-                        });
-      for (std::size_t i = 0; i < take; ++i) out_.emit(0, local[i]);
+      for (const NearRow& n : nearest)
+        out_.emit(0, KnnCand{std::sqrt(n.d2), tc.t_of(n.row), tc.u_of(n.row)});
     };
-    job.reduce = [&q, k](const int&, std::vector<KnnCand>& cands) {
+    job.reduce = [k](const int&, std::vector<KnnCand>& cands) {
+      // Candidates arrive in (node, row-rank) order; a stable sort by
+      // distance keeps that order among ties (NaN distances last).
+      std::stable_sort(cands.begin(), cands.end(),
+                       [](const KnnCand& a, const KnnCand& b) {
+                         return distance_rank(a.dist) < distance_rank(b.dist);
+                       });
       const std::size_t take = std::min(k, cands.size());
-      std::partial_sort(cands.begin(),
-                        cands.begin() + static_cast<std::ptrdiff_t>(take),
-                        cands.end(), [](const KnnCand& a, const KnnCand& b) {
-                          return a.dist < b.dist;
-                        });
       AggregateState agg;
       for (std::size_t i = 0; i < take; ++i) agg.add(cands[i].t, cands[i].u);
       return agg;
     };
     auto mr = run_map_reduce(cluster_, table_, job, coordinator_, deadline,
                              &mr_scratch_->knn);
-    AggregateState total;
-    for (auto& [key, agg] : mr.results) {
-      (void)key;
-      total.merge(agg);
-    }
-    out.answer = total.finalize(q.analytic);
-    out.state = total;
-    out.qualifying_tuples = total.count;
-    out.report = mr.report;
-    return out;
+    return finish(mr);
   }
 
-  // Range / radius selections: filter + partial aggregate per partition.
+  // Range / radius selections: one fused scan-and-fold per partition.
   MapReduceJob<int, AggregateState, AggregateState> job;
   job.kv_bytes = AggregateState::kWireBytes;
   job.result_bytes = AggregateState::kWireBytes;
   job.map = [&q](NodeId, const Table& part,
                  Emitter<int, AggregateState>& out_) {
-    // Columnar selection kernel: the selection vector lists qualifying
-    // rows in ascending order, and the ball test accumulates distance in
-    // column order — so the aggregate below adds the same values in the
-    // same order as the old gather-per-row scan (byte-identical answer).
-    std::vector<std::uint32_t> sel;
-    if (q.selection == SelectionType::kRange)
-      select_range(part, q.subspace_cols, q.range, sel);
-    else
-      select_ball(part, q.subspace_cols, q.ball, sel);
-    const TargetColumns tc(part, q);
-    AggregateState agg;
-    for (const std::uint32_t r : sel) agg.add(tc.t_of(r), tc.u_of(r));
-    out_.emit(0, agg);
+    out_.emit(0, scan_aggregate(part, q));
   };
   job.reduce = [](const int&, std::vector<AggregateState>& states) {
     AggregateState total;
@@ -365,16 +369,7 @@ ExactResult ExactExecutor::execute_mapreduce(const AnalyticalQuery& q,
   };
   auto mr = run_map_reduce(cluster_, table_, job, coordinator_, deadline,
                            &mr_scratch_->agg);
-  AggregateState total;
-  for (auto& [key, agg] : mr.results) {
-    (void)key;
-    total.merge(agg);
-  }
-  out.answer = total.finalize(q.analytic);
-  out.state = total;
-  out.qualifying_tuples = total.count;
-  out.report = mr.report;
-  return out;
+  return finish(mr);
 }
 
 ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,

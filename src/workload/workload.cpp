@@ -71,17 +71,16 @@ void QueryWorkload::drift_hotspots(double fraction) {
   }
 }
 
-Point QueryWorkload::draw_center() {
+void QueryWorkload::draw_center(Point& out) {
   const std::size_t h = hotspot_pick_(rng_);
   const std::size_t d = domain_.dims();
-  Point c(d);
+  out.resize(d);
   for (std::size_t i = 0; i < d; ++i) {
     const double w = domain_.hi[i] - domain_.lo[i];
-    c[i] = std::clamp(
+    out[i] = std::clamp(
         rng_.normal(hotspots_[h][i], config_.hotspot_spread * w),
         domain_.lo[i], domain_.hi[i]);
   }
-  return c;
 }
 
 AnalyticalQuery QueryWorkload::next() {
@@ -92,33 +91,35 @@ AnalyticalQuery QueryWorkload::next() {
   q.target_col = config_.target_col;
   q.target_col2 = config_.target_col2;
 
-  const Point center = draw_center();
+  // The centre is drawn first (the stream's order), straight into the
+  // query's own geometry.
   const std::size_t d = domain_.dims();
   switch (config_.selection) {
     case SelectionType::kRange: {
-      q.range.lo.resize(d);
+      draw_center(q.range.lo);
       q.range.hi.resize(d);
       for (std::size_t i = 0; i < d; ++i) {
         const double w = domain_.hi[i] - domain_.lo[i];
         const double width =
             rng_.uniform(config_.min_width, config_.max_width) * w;
-        q.range.lo[i] = center[i] - width / 2.0;
-        q.range.hi[i] = center[i] + width / 2.0;
+        const double center = q.range.lo[i];
+        q.range.lo[i] = center - width / 2.0;
+        q.range.hi[i] = center + width / 2.0;
       }
       break;
     }
     case SelectionType::kRadius: {
+      draw_center(q.ball.center);
       double mean_w = 0.0;
       for (std::size_t i = 0; i < d; ++i)
         mean_w += domain_.hi[i] - domain_.lo[i];
       mean_w /= static_cast<double>(d);
-      q.ball.center = center;
       q.ball.radius =
           rng_.uniform(config_.min_radius, config_.max_radius) * mean_w;
       break;
     }
     case SelectionType::kNearestNeighbors: {
-      q.knn_point = center;
+      draw_center(q.knn_point);
       q.knn_k = static_cast<std::size_t>(rng_.uniform_int(
           static_cast<std::int64_t>(config_.min_k),
           static_cast<std::int64_t>(config_.max_k)));

@@ -69,7 +69,8 @@ class QueryWorkload {
   const Rect& domain() const noexcept { return domain_; }
 
  private:
-  Point draw_center();
+  /// Draws a query centre around a Zipf-picked hotspot into `out`.
+  void draw_center(Point& out);
 
   WorkloadConfig config_;
   Rect domain_;

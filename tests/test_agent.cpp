@@ -1,6 +1,8 @@
 // Tests: the data-less analytics agent (RT1) and the serving loop (Fig. 2).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.h"
 #include "sea/agent.h"
 #include "sea/served.h"
@@ -284,6 +286,56 @@ TEST(Agent, ModelKindKnnOnlyWorks) {
     if (agent.try_predict(wl.next())) ++served;
   }
   EXPECT_GT(served, 5u);
+}
+
+// A full quantum drops its oldest pair in place: after overflow, a kKnn
+// agent predicts bit for bit like a KnnRegressor built from the quantum's
+// last max_samples_per_quantum (features, answer) pairs.
+TEST(Agent, KnnStoreSlidesAfterOverflow) {
+  AgentConfig cfg = test_config();
+  cfg.model_kind = QuantumModelKind::kKnn;
+  cfg.max_samples_per_quantum = 24;
+  cfg.max_quanta = 1;
+  cfg.create_distance = 100.0;  // everything in one quantum
+  cfg.drift_confidence = 1e-12;
+  const Table t = small_dataset(1000, 2, 44);
+  const Rect domain = table_bounds(t, std::vector<std::size_t>{0, 1});
+  DatalessAgent agent(cfg, [&](const std::vector<std::size_t>&) {
+    return domain;
+  });
+  Rng rng(47);
+  const auto draw = [&] {
+    // AVG: no mass scaling, so the stored target is the observed answer.
+    AnalyticalQuery q = testing::range_count_query(
+        rng.uniform(0, 0.5), rng.uniform(0.5, 1.0), rng.uniform(0, 0.5),
+        rng.uniform(0.5, 1.0));
+    q.analytic = AnalyticType::kAvg;
+    q.target_col = 2;
+    return q;
+  };
+  std::vector<Point> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < 100; ++i) {
+    const AnalyticalQuery q = draw();
+    const double answer = brute_force_answer(t, q);
+    agent.observe(q, answer);
+    xs.push_back(extract_features(q, domain).model);
+    ys.push_back(answer);
+  }
+  ASSERT_EQ(agent.stats().drift_alarms, 0u);
+  KnnRegressor want(cfg.knn_k);
+  for (std::size_t i = xs.size() - cfg.max_samples_per_quantum;
+       i < xs.size(); ++i)
+    want.add(xs[i], ys[i]);
+  for (int i = 0; i < 40; ++i) {
+    const AnalyticalQuery q = draw();
+    const auto got = agent.maybe_predict(q);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got->value),
+              std::bit_cast<std::uint64_t>(
+                  want.predict(extract_features(q, domain).model)))
+        << i;
+  }
 }
 
 TEST(Agent, ModelKindGbmWorks) {

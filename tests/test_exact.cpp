@@ -3,7 +3,11 @@
 // argues (P3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "common/parallel.h"
 #include "sea/exact.h"
@@ -13,6 +17,7 @@ namespace sea {
 namespace {
 
 using testing::brute_force_answer;
+using testing::nan_last_less;
 using testing::small_dataset;
 
 struct Case {
@@ -388,6 +393,161 @@ TEST(ExactExecutor, RebuildAfterWritesMatchesFreshExecutor) {
   EXPECT_EQ(bits_by_threads[0], bits_by_threads[1]);
   set_configured_threads(before);
 }
+
+/// Branchy reference for one range/radius map task: one gathered row at a
+/// time, the row scan's own predicates, qualifying rows added in order.
+AggregateState naive_map(const Table& part, const AnalyticalQuery& q) {
+  AggregateState agg;
+  Point p;
+  const double r2 = q.ball.radius * q.ball.radius;
+  for (std::size_t r = 0; r < part.num_rows(); ++r) {
+    part.gather(r, q.subspace_cols, p);
+    bool in = true;
+    if (q.selection == SelectionType::kRange) {
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        if (!(p[j] >= q.range.lo[j] && p[j] <= q.range.hi[j])) {
+          in = false;
+          break;
+        }
+      }
+    } else {
+      in = squared_distance(p, q.ball.center) <= r2;
+    }
+    if (!in) continue;
+    agg.add(needs_target(q.analytic) ? part.at(r, q.target_col) : 0.0,
+            needs_second_target(q.analytic) ? part.at(r, q.target_col2)
+                                            : 0.0);
+  }
+  return agg;
+}
+
+struct NaiveCand {
+  double dist, t, u;
+};
+
+/// Reference MapReduce kNN: each partition's k nearest by a full sort on
+/// (distance, row), concatenated in node order; the k nearest of those by
+/// a stable sort on distance, folded in that order.
+AggregateState naive_knn(const Cluster& c, const AnalyticalQuery& q,
+                         std::size_t& shuffled) {
+  std::vector<NaiveCand> all;
+  Point p;
+  for (std::size_t n = 0; n < c.num_nodes(); ++n) {
+    const Table& part = c.partition("t", static_cast<NodeId>(n));
+    std::vector<std::pair<double, std::size_t>> d2;
+    for (std::size_t r = 0; r < part.num_rows(); ++r) {
+      part.gather(r, q.subspace_cols, p);
+      d2.emplace_back(squared_distance(p, q.knn_point), r);
+    }
+    std::sort(d2.begin(), d2.end(), [](const auto& a, const auto& b) {
+      if (nan_last_less(a.first, b.first)) return true;
+      if (nan_last_less(b.first, a.first)) return false;
+      return a.second < b.second;
+    });
+    for (std::size_t i = 0; i < std::min(q.knn_k, d2.size()); ++i) {
+      const std::size_t r = d2[i].second;
+      all.push_back(
+          {std::sqrt(d2[i].first),
+           needs_target(q.analytic) ? part.at(r, q.target_col) : 0.0,
+           needs_second_target(q.analytic) ? part.at(r, q.target_col2)
+                                           : 0.0});
+    }
+  }
+  shuffled = all.size();
+  std::stable_sort(all.begin(), all.end(),
+                   [](const NaiveCand& a, const NaiveCand& b) {
+                     return nan_last_less(a.dist, b.dist);
+                   });
+  AggregateState agg;
+  for (std::size_t i = 0; i < std::min(q.knn_k, all.size()); ++i)
+    agg.add(all[i].t, all[i].u);
+  return agg;
+}
+
+bool same_state(const AggregateState& a, const AggregateState& b) {
+  return std::memcmp(&a, &b, sizeof(AggregateState)) == 0;
+}
+
+class ExactMapDiff : public ::testing::TestWithParam<std::size_t> {};
+
+// 100 seeds over d-column tables (clustered, duplicate-heavy, +-0.0 and
+// NaN-bearing data) split round-robin over three nodes, so each partition
+// holds 0, 1, 2047, 2048 or 2049 rows (or one more). Every range, radius
+// and kNN query x COUNT/SUM/AVG/VAR/CORR through the MapReduce path must
+// return the AggregateState of the branchy reference byte for byte — the
+// merge order of the reduce and the coordinator included — with k up to
+// past the partition size, at SEA_THREADS 1 and 8. The shuffle carries
+// one 48-byte state per map task, or one 24-byte candidate per kNN row.
+TEST_P(ExactMapDiff, FusedMapsMatchBranchyReference) {
+  const std::size_t d = GetParam();
+  constexpr std::size_t kNodes = 3;
+  constexpr std::size_t kPerNode[] = {0, 1, 2047, 2048, 2049};
+  constexpr AnalyticType kAnalytics[] = {
+      AnalyticType::kCount, AnalyticType::kSum, AnalyticType::kAvg,
+      AnalyticType::kVariance, AnalyticType::kCorrelation};
+  const std::size_t before = configured_threads();
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const testing::ScanData kind =
+        testing::kScanDataKinds[(seed + d) % std::size(testing::kScanDataKinds)];
+    const std::size_t rows = kNodes * kPerNode[seed % std::size(kPerNode)] +
+                             (seed / 5) % kNodes;
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " kind=" + std::to_string(static_cast<int>(kind)) +
+                 " rows=" + std::to_string(rows));
+    const Table t = testing::scan_table(kind, rows, d, seed * 613 + d);
+    Cluster c = testing::make_cluster(t, "t", kNodes);
+    ExactExecutor exec(c, "t");
+    Rng rng(seed * 7 + d);
+    for (const AnalyticType an : kAnalytics) {
+      const testing::ScanGeometry g = testing::scan_geometry(
+          c.partition("t", 0), d, rng);
+      AnalyticalQuery q;
+      q.analytic = an;
+      q.subspace_cols.resize(d);
+      std::iota(q.subspace_cols.begin(), q.subspace_cols.end(),
+                std::size_t{0});
+      q.target_col = d;
+      q.target_col2 = d + 1;
+      q.range = g.rect;
+      q.ball = g.ball;
+      q.knn_point = g.center;
+      q.knn_k = g.k;
+      for (const SelectionType sel :
+           {SelectionType::kRange, SelectionType::kRadius,
+            SelectionType::kNearestNeighbors}) {
+        q.selection = sel;
+        SCOPED_TRACE(q.describe());
+        AggregateState want;
+        std::size_t shuffled = kNodes;
+        std::size_t kv_bytes = AggregateState::kWireBytes;
+        if (sel == SelectionType::kNearestNeighbors) {
+          // The reducer's state, merged once more by the coordinator.
+          want.merge(naive_knn(c, q, shuffled));
+          kv_bytes = 3 * sizeof(double);
+        } else {
+          AggregateState reduced;
+          for (std::size_t n = 0; n < kNodes; ++n) {
+            const Table& part = c.partition("t", static_cast<NodeId>(n));
+            const AggregateState map = naive_map(part, q);
+            EXPECT_TRUE(same_state(scan_aggregate(part, q), map)) << n;
+            reduced.merge(map);
+          }
+          want.merge(reduced);
+        }
+        for (const std::size_t threads : {1, 8}) {
+          set_configured_threads(threads);
+          const ExactResult r = exec.execute(q, ExecParadigm::kMapReduce);
+          EXPECT_TRUE(same_state(r.state, want)) << threads;
+          EXPECT_EQ(r.qualifying_tuples, want.count) << threads;
+          EXPECT_EQ(r.report.shuffle_bytes, shuffled * kv_bytes) << threads;
+        }
+        set_configured_threads(before);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, ExactMapDiff, ::testing::Values(1, 2, 3, 5));
 
 }  // namespace
 }  // namespace sea

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "data/generator.h"
 #include "data/table.h"
 #include "index/histogram.h"
+#include "test_util.h"
 
 namespace sea {
 namespace {
@@ -428,18 +431,145 @@ TEST(ColumnarKernels, SelectionMatchesRowScanAndIsAscending) {
   EXPECT_FALSE(sel_range.empty());  // the shrunken box still selects rows
 }
 
-TEST(ColumnarKernels, SquaredDistancesBitEqualRowArithmetic) {
-  const Table table = make_clustered_dataset(5000, 3, 3, 73);
-  const std::vector<std::size_t> cols = {0, 2};
-  const Point center = {0.4, 0.6};
-  std::vector<double> d2;
-  squared_distances(table, cols, center, d2);
-  ASSERT_EQ(d2.size(), table.num_rows());
+/// Naive branchy references for the fused scans: one gathered row at a
+/// time, the row scan's own predicates, and kNN by a full sort.
+struct NaiveScan {
+  std::vector<std::uint32_t> range, ball;
+  std::vector<NearRow> nearest;
+};
+
+/// (distance, row) order with NaN distances last.
+bool naive_nearer(const NearRow& a, const NearRow& b) {
+  if (testing::nan_last_less(a.d2, b.d2)) return true;
+  if (testing::nan_last_less(b.d2, a.d2)) return false;
+  return a.row < b.row;
+}
+
+NaiveScan naive_scan(const Table& table, std::span<const std::size_t> cols,
+                     const testing::ScanGeometry& g) {
+  NaiveScan out;
   Point p;
+  const double r2 = g.ball.radius * g.ball.radius;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     table.gather(r, cols, p);
-    EXPECT_EQ(d2[r], squared_distance(p, center)) << r;  // bitwise
+    const auto row = static_cast<std::uint32_t>(r);
+    bool in = true;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      if (!(p[j] >= g.rect.lo[j] && p[j] <= g.rect.hi[j])) {
+        in = false;
+        break;
+      }
+    }
+    if (in) out.range.push_back(row);
+    if (squared_distance(p, g.ball.center) <= r2) out.ball.push_back(row);
+    out.nearest.push_back({squared_distance(p, g.center), row});
   }
+  std::sort(out.nearest.begin(), out.nearest.end(), naive_nearer);
+  out.nearest.resize(std::min(g.k, out.nearest.size()));
+  return out;
+}
+
+/// Concatenates a visitor's blocks, checking each is non-empty, ascending
+/// and inside one kScanBlock-aligned window past the previous block's.
+struct BlockCollector {
+  std::vector<std::uint32_t> ids;
+  bool ok = true;
+  void operator()(std::span<const std::uint32_t> block) {
+    const std::size_t window = block.empty() ? 0 : block[0] / kScanBlock;
+    ok = ok && !block.empty() &&
+         std::is_sorted(block.begin(), block.end()) &&
+         block.back() / kScanBlock == window &&
+         (ids.empty() || ids.back() / kScanBlock < window);
+    ids.insert(ids.end(), block.begin(), block.end());
+  }
+};
+
+bool same_nearest(const std::vector<NearRow>& a,
+                  const std::vector<NearRow>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const NearRow& x, const NearRow& y) {
+                      return x.row == y.row &&
+                             std::bit_cast<std::uint64_t>(x.d2) ==
+                                 std::bit_cast<std::uint64_t>(y.d2);
+                    });
+}
+
+class ColumnarScanDiff : public ::testing::TestWithParam<std::size_t> {};
+
+// 100 seeds x every data shape, sizes around the scan block (2048): the
+// branch-free range and ball scans must return exactly the rows of the
+// branchy row scan, block by block in row order, and nearest_rows exactly
+// the first k of a full (distance, row) sort — squared distances bit-equal
+// — at SEA_THREADS 1 and 8.
+TEST_P(ColumnarScanDiff, ScansMatchBranchyRowScan) {
+  const std::size_t d = GetParam();
+  constexpr std::size_t kSizes[] = {0, 1, 2, 17, 2047, 2048, 2049, 4097};
+  std::vector<std::size_t> cols(d);
+  std::iota(cols.begin(), cols.end(), std::size_t{0});
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const testing::ScanData kind : testing::kScanDataKinds) {
+      const std::size_t n =
+          kSizes[(seed + d + static_cast<std::size_t>(kind)) %
+                 std::size(kSizes)];
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " kind=" + std::to_string(static_cast<int>(kind)) +
+                   " n=" + std::to_string(n));
+      const Table table = testing::scan_table(kind, n, d, seed * 977 + d);
+      Rng rng(seed * 31 + d);
+      const testing::ScanGeometry g = testing::scan_geometry(table, d, rng);
+      const NaiveScan want = naive_scan(table, cols, g);
+      for (const std::size_t threads : {1, 8}) {
+        set_configured_threads(threads);
+        BlockCollector range, ball;
+        visit_range(table, cols, g.rect, range);
+        visit_ball(table, cols, g.ball, ball);
+        std::vector<std::uint32_t> sel_range, sel_ball;
+        select_range(table, cols, g.rect, sel_range);
+        select_ball(table, cols, g.ball, sel_ball);
+        std::vector<NearRow> nearest;
+        nearest_rows(table, cols, g.center, g.k, nearest);
+        set_configured_threads(0);
+        EXPECT_TRUE(range.ok && ball.ok) << threads;
+        EXPECT_EQ(range.ids, want.range) << threads;
+        EXPECT_EQ(ball.ids, want.ball) << threads;
+        EXPECT_EQ(sel_range, want.range) << threads;
+        EXPECT_EQ(sel_ball, want.ball) << threads;
+        EXPECT_TRUE(same_nearest(nearest, want.nearest)) << threads;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, ColumnarScanDiff,
+                         ::testing::Values(1, 2, 3, 5));
+
+// The NaN rule: a NaN squared distance ranks after every number, +inf
+// included, and NaN ties break by row like any other tie.
+TEST(ColumnarKernels, NearestRowsRankNaNDistancesLast) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Table table = Table::from_columns(
+      Schema({"x"}), {{std::nan(""), 1.0, std::nan(""), 0.5, inf, -1.0}});
+  const std::vector<std::size_t> cols{0};
+  const Point center{0.0};
+  std::vector<NearRow> got;
+  const auto rows_of = [](const std::vector<NearRow>& v) {
+    std::vector<std::uint32_t> rows;
+    for (const NearRow& n : v) rows.push_back(n.row);
+    return rows;
+  };
+  nearest_rows(table, cols, center, 10, got);
+  EXPECT_EQ(rows_of(got), (std::vector<std::uint32_t>{3, 1, 5, 4, 0, 2}));
+  nearest_rows(table, cols, center, 5, got);
+  EXPECT_EQ(rows_of(got), (std::vector<std::uint32_t>{3, 1, 5, 4, 0}));
+  nearest_rows(table, cols, center, 2, got);
+  EXPECT_EQ(rows_of(got), (std::vector<std::uint32_t>{3, 1}));
+  EXPECT_LT(distance_rank(inf), distance_rank(std::nan("")));
+  EXPECT_EQ(distance_rank(std::nan("")), distance_rank(-std::nan("")));
+  // A NaN centre makes every distance NaN: the first k rows, in row order.
+  nearest_rows(table, cols, Point{std::nan("")}, 3, got);
+  EXPECT_EQ(rows_of(got), (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_THROW(nearest_rows(table, cols, Point{0.0, 0.0}, 1, got),
+               std::invalid_argument);
 }
 
 TEST(ColumnarKernels, AggregateColumnThreadInvariantAndNearNaive) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "data/generator.h"
 #include "data/table.h"
 #include "net/network.h"
@@ -130,6 +131,95 @@ inline AnalyticalQuery range_count_query(double lo0, double hi0, double lo1,
   q.range.lo = {lo0, lo1};
   q.range.hi = {hi0, hi1};
   return q;
+}
+
+/// Data shapes for the fused-scan differential suites: tight blobs, a 0.25
+/// lattice (many exact ties and boundary hits), +0.0/-0.0 mixed with +-1,
+/// and uniform values with ~10% NaN.
+enum class ScanData { kClustered, kDuplicates, kSignedZeros, kNaN };
+
+inline constexpr ScanData kScanDataKinds[] = {
+    ScanData::kClustered, ScanData::kDuplicates, ScanData::kSignedZeros,
+    ScanData::kNaN};
+
+/// `n` rows of `d` coordinate columns (0..d-1) and two target columns (d,
+/// d+1), every value drawn from the `kind` shape.
+inline Table scan_table(ScanData kind, std::size_t n, std::size_t d,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> centres(3 * (d + 2));
+  for (auto& v : centres) v = rng.uniform();
+  std::vector<std::vector<double>> cols(d + 2, std::vector<double>(n));
+  std::vector<std::string> names;
+  for (std::size_t j = 0; j < d + 2; ++j) {
+    names.push_back("c" + std::to_string(j));
+    for (std::size_t i = 0; i < n; ++i) {
+      double& v = cols[j][i];
+      switch (kind) {
+        case ScanData::kClustered:
+          v = centres[(i % 3) * (d + 2) + j] + rng.normal(0.0, 0.02);
+          break;
+        case ScanData::kDuplicates:
+          v = 0.25 * static_cast<double>(rng.uniform_index(5));
+          break;
+        case ScanData::kSignedZeros: {
+          constexpr double kPick[] = {0.0, -0.0, 0.0, -0.0, 1.0, -1.0};
+          v = kPick[rng.uniform_index(std::size(kPick))];
+          break;
+        }
+        case ScanData::kNaN:
+          v = rng.uniform() < 0.1 ? std::nan("") : rng.uniform();
+          break;
+      }
+    }
+  }
+  return Table::from_columns(Schema(std::move(names)), std::move(cols));
+}
+
+/// The kNN distance order written out without distance_rank: NaN after
+/// every number, +inf included.
+inline bool nan_last_less(double a, double b) {
+  if (std::isnan(a) != std::isnan(b)) return std::isnan(b);
+  return !std::isnan(a) && a < b;
+}
+
+/// A coordinate of `table`'s column `col` (a random row's, so it sits on
+/// data) or, half the time or when there is none, a uniform draw in
+/// [-1.1, 1.1].
+inline double scan_coordinate(const Table& table, std::size_t col, Rng& rng) {
+  if (table.num_rows() > 0 && rng.uniform() < 0.5) {
+    const double v = table.at(rng.uniform_index(table.num_rows()), col);
+    if (!std::isnan(v)) return v;
+  }
+  return rng.uniform(-1.1, 1.1);
+}
+
+/// Geometry for one differential case over columns 0..d-1: a rectangle
+/// snapped to data coordinates, a ball around a data point (radius 0 one
+/// time in eight), and a kNN centre with k from 1 up to past the row count.
+struct ScanGeometry {
+  Rect rect;
+  Ball ball;
+  Point center;
+  std::size_t k = 1;
+};
+
+inline ScanGeometry scan_geometry(const Table& table, std::size_t d,
+                                  Rng& rng) {
+  ScanGeometry g;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double a = scan_coordinate(table, j, rng);
+    const double b = scan_coordinate(table, j, rng);
+    g.rect.lo.push_back(std::min(a, b));
+    g.rect.hi.push_back(std::max(a, b));
+    g.ball.center.push_back(scan_coordinate(table, j, rng));
+    g.center.push_back(scan_coordinate(table, j, rng));
+  }
+  g.ball.radius = rng.uniform() < 0.125 ? 0.0 : rng.uniform(0.0, 0.8);
+  constexpr std::size_t kKs[] = {1, 2, 7, 64};
+  g.k = rng.uniform() < 0.2 ? table.num_rows() + 1 + rng.uniform_index(3)
+                            : kKs[rng.uniform_index(std::size(kKs))];
+  return g;
 }
 
 }  // namespace sea::testing
