@@ -18,6 +18,7 @@
 #include "common/parallel.h"
 #include "common/primitives.h"
 #include "common/rng.h"
+#include "common/select.h"
 #include "common/timer.h"
 #include "data/columnar.h"
 #include "data/generator.h"
@@ -373,6 +374,51 @@ double best_of_ms(std::size_t reps, F&& body) {
     best = std::min(best, t.elapsed_ms());
   }
   return best;
+}
+
+// ---------------------------------------------------------------------------
+// The k-d builder's median selects on one dashboard_1m partition: physical
+// {x, y, row} records (KdTree's 2-d build element) split at the median,
+// axes alternating, down to 16-record leaves — one build's selects without
+// its bounds scans. select_nth and std::nth_element run the same recursion.
+
+struct SelectRecord2 {
+  double c[2];
+  std::uint32_t index;
+};
+
+template <typename Select>
+void median_splits(std::vector<SelectRecord2>& recs, Select&& select) {
+  struct Range {
+    std::size_t begin, end, axis;
+  };
+  std::vector<Range> todo{{0, recs.size(), 0}};
+  while (!todo.empty()) {
+    const Range r = todo.back();
+    todo.pop_back();
+    if (r.end - r.begin <= 16) continue;
+    const std::size_t mid = r.begin + (r.end - r.begin) / 2;
+    const std::size_t axis = r.axis;
+    select(recs.begin() + static_cast<std::ptrdiff_t>(r.begin),
+           recs.begin() + static_cast<std::ptrdiff_t>(mid),
+           recs.begin() + static_cast<std::ptrdiff_t>(r.end),
+           [axis](const SelectRecord2& a, const SelectRecord2& b) {
+             return a.c[axis] < b.c[axis];
+           });
+    todo.push_back({r.begin, mid, 1 - axis});
+    todo.push_back({mid, r.end, 1 - axis});
+  }
+}
+
+/// Wall ms of median_splits over `out` := a copy of `input` (the copy is
+/// not timed).
+template <typename Select>
+double median_splits_ms(const std::vector<SelectRecord2>& input,
+                        std::vector<SelectRecord2>& out, Select&& select) {
+  out = input;
+  Timer t;
+  median_splits(out, select);
+  return t.elapsed_ms();
 }
 
 // ---------------------------------------------------------------------------
@@ -914,8 +960,10 @@ void run_learned_sweep(BenchJsonWriter& json) {
 ///      scaling its work with the worker count).
 /// The ratio vs the naive serial reference is recorded (not gated): the
 /// blocked two-pass structure costs a bounded constant factor serially,
-/// which parallel hosts buy back. The fused k-d probes are gated on their
-/// speedup over the materialize-then-gather route (see below).
+/// which parallel hosts buy back. The k-d shard build is gated on its
+/// ratio to a sort, its median selects on their speedup over
+/// std::nth_element, and the fused k-d probes on their speedup over the
+/// materialize-then-gather route (see below).
 /// Writes BENCH_micro.json; returns a process exit code.
 int run_perf_smoke() {
   constexpr std::size_t kReps = 3;
@@ -1081,7 +1129,12 @@ int run_perf_smoke() {
   // slot_ids are byte-equal at 1 and 2 threads and to one build_kdtree per
   // partition (the single-table path builds by subtree), and 2t <= 1.5 x
   // 1t + 1 ms. The naive column is a std::sort of the same (x, row id)
-  // pairs per partition; build_vs_sort_1t is recorded, not gated.
+  // pairs per partition; build_vs_sort_1t must stay <= 1.5 (measured
+  // ~1.1-1.2 on a shared 4-vCPU host, ~1.9 with std::nth_element).
+  //
+  // kd_select: one build's median selects on the first partition (see
+  // median_splits) must leave the records byte-equal to std::nth_element's
+  // and be >= 1.5x faster (measured ~2-2.3x), best of interleaved runs.
   {
     const Table table = make_clustered_dataset(kRows, 2, 3, 7);
     Cluster cluster(8, Network::single_zone(8));
@@ -1096,13 +1149,12 @@ int run_perf_smoke() {
         out.insert(out.end(), t.slot_ids().begin(), t.slot_ids().end());
       return out;
     };
+    // The gated build/sort ratio: both sides best of kPairReps runs,
+    // interleaved so a noisy neighbour slows both alike.
+    constexpr std::size_t kPairReps = 5;
     std::vector<KdTree> trees;
-    set_configured_threads(1);
-    const double build_1t =
-        best_of_ms(kReps, [&] { trees = build_kdtrees(parts, cols); });
-    const auto slots_1t = slots_of(trees);
     std::vector<std::pair<double, std::uint32_t>> pairs;
-    const double sort_ms = best_of_ms(kReps, [&] {
+    const auto sort_pairs = [&] {
       for (const Table* part : parts) {
         const auto x = part->column(0);
         pairs.resize(x.size());
@@ -1111,7 +1163,17 @@ int run_perf_smoke() {
         std::sort(pairs.begin(), pairs.end());
         benchmark::DoNotOptimize(pairs.data());
       }
-    });
+    };
+    set_configured_threads(1);
+    double build_1t = std::numeric_limits<double>::infinity();
+    double sort_ms = build_1t;
+    for (std::size_t rep = 0; rep < kPairReps; ++rep) {
+      build_1t = std::min(build_1t, best_of_ms(1, [&] {
+                            trees = build_kdtrees(parts, cols);
+                          }));
+      sort_ms = std::min(sort_ms, best_of_ms(1, sort_pairs));
+    }
+    const auto slots_1t = slots_of(trees);
     set_configured_threads(2);
     const double build_2t =
         best_of_ms(kReps, [&] { trees = build_kdtrees(parts, cols); });
@@ -1120,12 +1182,65 @@ int run_perf_smoke() {
     for (const Table* part : parts) trees.push_back(build_kdtree(*part, cols));
     same = same && slots_of(trees) == slots_1t;
     gate("kd_build_shards", build_1t, build_2t, sort_ms, same);
+    constexpr double kMaxBuildVsSort = 1.5;
+    const double build_vs_sort = sort_ms > 0.0 ? build_1t / sort_ms : 0.0;
+    const bool ratio_ok = build_vs_sort <= kMaxBuildVsSort;
     json.num("partitions", static_cast<std::uint64_t>(parts.size()));
-    json.num("build_vs_sort_1t", sort_ms > 0.0 ? build_1t / sort_ms : 0.0);
+    json.num("build_vs_sort_1t", build_vs_sort);
+    json.num("max_build_vs_sort_1t", kMaxBuildVsSort);
+    json.num("build_vs_sort_pass", std::uint64_t{ratio_ok ? 1u : 0u});
     std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (build/sort at 1t, "
-                "recorded)\n",
-                "kd_build_vs_sort", build_1t, "-", sort_ms,
-                sort_ms > 0.0 ? build_1t / sort_ms : 0.0, "-");
+                "gate <= %.1f)\n",
+                "kd_build_vs_sort", build_1t, "-", sort_ms, build_vs_sort,
+                ratio_ok ? "ok" : "FAIL", kMaxBuildVsSort);
+    if (!ratio_ok) ok = false;
+
+    constexpr std::size_t kSelectReps = 7;
+    constexpr double kMinSelectSpeedup = 1.5;
+    const Table& part = *parts.front();
+    std::vector<SelectRecord2> records(part.num_rows());
+    for (std::size_t r = 0; r < records.size(); ++r)
+      records[r] = {{part.at(r, 0), part.at(r, 1)},
+                    static_cast<std::uint32_t>(r)};
+    std::vector<SelectRecord2> got, want;
+    double select_ms = std::numeric_limits<double>::infinity();
+    double nth_ms = select_ms;
+    for (std::size_t rep = 0; rep < kSelectReps; ++rep) {
+      select_ms = std::min(
+          select_ms, median_splits_ms(records, got,
+                                      [](auto first, auto nth, auto last,
+                                         auto less) {
+                                        select_nth(first, nth, last, less);
+                                      }));
+      nth_ms = std::min(
+          nth_ms, median_splits_ms(records, want,
+                                   [](auto first, auto nth, auto last,
+                                      auto less) {
+                                     std::nth_element(first, nth, last, less);
+                                   }));
+    }
+    const bool select_same = std::equal(
+        got.begin(), got.end(), want.begin(),
+        [](const SelectRecord2& a, const SelectRecord2& b) {
+          return std::memcmp(a.c, b.c, sizeof(a.c)) == 0 &&
+                 a.index == b.index;
+        });
+    const double select_speedup = select_ms > 0.0 ? nth_ms / select_ms : 0.0;
+    const bool select_pass =
+        select_same && select_speedup >= kMinSelectSpeedup;
+    json.begin("smoke_kd_select");
+    json.num("n", static_cast<std::uint64_t>(records.size()));
+    json.num("select_ms", select_ms);
+    json.num("nth_element_ms", nth_ms);
+    json.num("speedup", select_speedup);
+    json.num("min_speedup", kMinSelectSpeedup);
+    json.num("answers_match", std::uint64_t{select_same ? 1u : 0u});
+    json.num("pass", std::uint64_t{select_pass ? 1u : 0u});
+    std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (nth_element/select, "
+                "gate >= %.1fx)\n",
+                "kd_select", select_ms, "-", nth_ms, select_speedup,
+                select_pass ? "ok" : "FAIL", kMinSelectSpeedup);
+    if (!select_pass) ok = false;
   }
 
   // Fused k-d probe gates: on one dashboard_1m partition (64 probes at

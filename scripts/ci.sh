@@ -37,15 +37,17 @@ run_preset default
 # --perf-smoke) gates on answers matching naive serial references and on
 # thread monotonicity (2-thread wall <= 1.5x 1-thread wall), including
 # kd_build_shards (the eight dashboard_1m partitions built by one
-# build_kdtrees call: byte-equal slot_ids at 1 and 2 threads; its ratio to a
-# std::sort of the same (key, id) pairs is recorded, not gated), and the
-# fused k-d probes on byte-equal answers and their speedup over
-# id-materializing probes, and the MapReduce map tasks of explore_100k's
-# three query shapes (mr_map_range_count, mr_map_radius_avg gated on
-# byte-equal states and speedup over a branchy row loop; mr_map_knn_sum's
-# ratio recorded) — relative checks, never absolute ms thresholds,
-# so the stage is stable on any host. Writes BENCH_micro.json as the
-# machine-readable perf record.
+# build_kdtrees call: byte-equal slot_ids at 1 and 2 threads), the
+# kd_build_vs_sort gate (that build at 1 thread <= 1.5x a std::sort of the
+# same (key, id) pairs), the kd_select gate (one build's median selects on a
+# 125k-record partition: byte-equal to std::nth_element and >= 1.5x faster),
+# and the fused k-d probes on byte-equal answers and their speedup over
+# id-materializing probes, and the MapReduce map tasks of explore_100k's three
+# query shapes (mr_map_range_count, mr_map_radius_avg gated on byte-equal
+# states and speedup over a branchy row loop; mr_map_knn_sum's ratio
+# recorded) — relative checks, never absolute ms thresholds, so the stage is
+# stable on any host. Writes BENCH_micro.json as the machine-readable perf
+# record.
 echo "=== [default] perf-smoke (bench_micro --perf-smoke) ==="
 cmake --build --preset default -j "${jobs}" --target bench_micro
 (cd build && ./bench/bench_micro --perf-smoke)

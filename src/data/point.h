@@ -48,10 +48,11 @@ struct Rect {
     return true;
   }
 
+  /// lo[i] <= p[i] <= hi[i] on every axis; a NaN coordinate never passes.
   bool contains(std::span<const double> p) const noexcept {
     if (p.size() != lo.size()) return false;
     for (std::size_t i = 0; i < lo.size(); ++i)
-      if (p[i] < lo[i] || p[i] > hi[i]) return false;
+      if (!(p[i] >= lo[i] && p[i] <= hi[i])) return false;
     return true;
   }
 

@@ -59,12 +59,13 @@ std::size_t GridIndex::cell_coord(double v, std::size_t dim) const noexcept {
   const double lo = domain_.lo[dim];
   const double hi = domain_.hi[dim];
   const double width = (hi - lo) / static_cast<double>(cells_per_dim_);
-  if (width <= 0.0) return 0;
+  if (!(width > 0.0)) return 0;
+  // floor, clamped into [0, cells_per_dim_ - 1]; a NaN (or a NaN domain)
+  // lands in cell 0 and +-inf clamp, with no out-of-range conversion.
   const double raw = (v - lo) / width;
-  const auto c = static_cast<std::int64_t>(std::floor(raw));
-  return static_cast<std::size_t>(
-      std::clamp<std::int64_t>(c, 0,
-                               static_cast<std::int64_t>(cells_per_dim_) - 1));
+  if (!(raw >= 1.0)) return 0;
+  if (raw >= static_cast<double>(cells_per_dim_)) return cells_per_dim_ - 1;
+  return static_cast<std::size_t>(raw);
 }
 
 std::size_t GridIndex::cell_of(std::span<const double> p) const noexcept {

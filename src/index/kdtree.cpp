@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/parallel.h"
+#include "common/select.h"
 #include "data/table.h"
 
 namespace sea {
@@ -57,12 +58,13 @@ std::vector<double> row_major(const Table& table,
 /// input point index(elems[s]).
 ///
 /// With 1 <= D <= kMaxRecordDims the elements are physical records
-/// {c[D], input index}: nth_element moves the coordinates themselves and
-/// the per-node bounds scans read them in order, with no indirection.
+/// {c[D], input index}: the median selects move the coordinates themselves
+/// and the per-node bounds scans read them in order, with no indirection.
 /// D == 0 handles any dimensionality with u32 input indices into the
 /// row-major input. Both run the same comparisons on the same values in
-/// the same sequence, and nth_element's moves depend only on comparison
-/// outcomes, so both produce the same slot order, nodes_ and bounds_.
+/// the same sequence, and select_nth's moves depend only on comparison
+/// outcomes, so both produce the same slot order, nodes_ and bounds_ —
+/// the ones std::nth_element (GCC libstdc++) would (common/select.h).
 template <std::size_t D>
 class KdTree::Builder {
  public:
@@ -225,11 +227,10 @@ class KdTree::Builder {
       }
     }
     const std::uint32_t mid = begin + count / 2;
-    std::nth_element(elems_.begin() + begin, elems_.begin() + mid,
-                     elems_.begin() + end,
-                     [&](const Elem& a, const Elem& b) {
-                       return at(a)[axis] < at(b)[axis];
-                     });
+    select_nth(elems_.begin() + begin, elems_.begin() + mid,
+               elems_.begin() + end, [&](const Elem& a, const Elem& b) {
+                 return at(a)[axis] < at(b)[axis];
+               });
     node.right = self + 1 + static_cast<std::uint32_t>(
                                 subtree_nodes(mid - begin));
     *mid_out = mid;

@@ -147,7 +147,9 @@ class KdTree {
 
   /// Rectangle probe: disjoint nodes are pruned, contained ones taken
   /// whole. Tests are written branch-free per axis (boundary leaves pass
-  /// and fail unpredictably); NaN coordinates pass, as in Rect::contains.
+  /// and fail unpredictably). A NaN coordinate fails the per-point test,
+  /// as in Rect::contains; min/max bounds skip NaN, so NaN coordinates
+  /// (nan_free_ false) disable containment.
   struct RangeProbe {
     const KdTree* tree;
     const Rect* rect;
@@ -161,13 +163,14 @@ class KdTree {
         inside &= (rect->lo[j] <= lo[j]) & (hi[j] <= rect->hi[j]);
       }
       if (disjoint) return Overlap::kDisjoint;
-      return inside ? Overlap::kContained : Overlap::kPartial;
+      return tree->nan_free_ && inside ? Overlap::kContained
+                                       : Overlap::kPartial;
     }
     bool accepts(std::uint32_t slot) const noexcept {
       const double* p = tree->point(slot);
       bool in = true;
       for (std::size_t j = 0; j < tree->dims_; ++j)
-        in &= !(p[j] < rect->lo[j]) & !(p[j] > rect->hi[j]);
+        in &= (p[j] >= rect->lo[j]) & (p[j] <= rect->hi[j]);
       return in;
     }
   };

@@ -303,11 +303,16 @@ LearnedCdf::LearnedCdf(std::span<const double> values, std::size_t knots) {
   // Deterministic stride sample (no RNG — same fixed-stride idiom as
   // sample_sort's pivots), sorted serially: the sample is small, and the
   // knots are a pure function of the input regardless of SEA_THREADS.
+  // NaN values are left out of the sample: they have no rank, and sorting
+  // them is undefined. operator() maps NaN to 0.
   const std::size_t cap = std::max<std::size_t>(knots * 8, 64);
-  const std::size_t s = std::min(n, cap);
-  std::vector<double> sample(s);
-  for (std::size_t i = 0; i < s; ++i)
-    sample[i] = values[s == 1 ? 0 : i * (n - 1) / (s - 1)];
+  std::vector<double> sample(std::min(n, cap));
+  for (std::size_t i = 0; i < sample.size(); ++i)
+    sample[i] =
+        values[sample.size() == 1 ? 0 : i * (n - 1) / (sample.size() - 1)];
+  std::erase_if(sample, [](double v) { return std::isnan(v); });
+  const std::size_t s = sample.size();
+  if (s == 0) return;
   std::sort(sample.begin(), sample.end());
   const std::size_t k = std::min(knots, s > 1 ? s - 1 : std::size_t{1});
   knots_.resize(k + 1);
@@ -401,10 +406,12 @@ LearnedGrid::LearnedGrid(std::vector<Point> points, Rect domain,
 }
 
 std::size_t LearnedGrid::cell_coord(double v, std::size_t dim) const noexcept {
-  const double u = cdfs_[dim](v);
-  const auto c = static_cast<std::size_t>(
-      u * static_cast<double>(cells_per_dim_));
-  return std::min(c, cells_per_dim_ - 1);
+  // The CDF maps NaN to 0; a NaN from its interpolation (infinite knots)
+  // lands in cell 0 too, with no out-of-range conversion.
+  const double x = cdfs_[dim](v) * static_cast<double>(cells_per_dim_);
+  if (!(x >= 1.0)) return 0;
+  if (x >= static_cast<double>(cells_per_dim_)) return cells_per_dim_ - 1;
+  return static_cast<std::size_t>(x);
 }
 
 std::size_t LearnedGrid::cell_of(std::span<const double> p) const noexcept {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "common/parallel.h"
@@ -151,6 +152,61 @@ TEST(ExactExecutor, GridPathAlsoSurgical) {
   // Far fewer rows than a full scan, like the k-d path.
   EXPECT_LT(c.stats().rows_scanned, 20000u / 3);
   EXPECT_GT(c.stats().index_probes, 0u);
+}
+
+// A NaN coordinate never satisfies a range or radius predicate, on any
+// paradigm: COUNT and SUM over a NaN-laced table agree with brute force
+// (Rect::contains, Ball::contains) on MapReduce, the k-d trees, the grid
+// and the learned grid. Rows 0-3 open the four round-robin partitions:
+// their NaN x (and rows 0-1's NaN y) make those domains NaN (min/max keep
+// a leading NaN), so the uniform grid puts every point of that axis in
+// cell 0. Whole-domain probes would take NaN-holding k-d nodes whole if
+// containment ignored NaN.
+TEST(ExactExecutor, NanCoordinatesNeverQualifyOnAnyParadigm) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kRows = 3000;
+  Rng rng(2203);
+  std::vector<std::vector<double>> cols(3, std::vector<double>(kRows));
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j < 2; ++j)
+      cols[j][i] = rng.uniform() < 0.1 ? kNaN : rng.uniform();
+    cols[2][i] = rng.uniform(-1.0, 1.0);
+  }
+  for (std::size_t i = 0; i < 4; ++i) cols[0][i] = kNaN;
+  for (std::size_t i = 0; i < 2; ++i) cols[1][i] = kNaN;
+  const Table t =
+      Table::from_columns(Schema({"x", "y", "v"}), std::move(cols));
+  Cluster cluster = testing::make_cluster(t, "t", 4);
+  ExactExecutor exec(cluster, "t");
+  constexpr ExecParadigm kParadigms[] = {
+      ExecParadigm::kMapReduce, ExecParadigm::kCoordinatorIndexed,
+      ExecParadigm::kCoordinatorGrid, ExecParadigm::kCoordinatorLearned};
+  for (int trial = 0; trial < 16; ++trial) {
+    for (const SelectionType sel :
+         {SelectionType::kRange, SelectionType::kRadius}) {
+      for (const AnalyticType an : {AnalyticType::kCount, AnalyticType::kSum}) {
+        AnalyticalQuery q;
+        q.selection = sel;
+        q.analytic = an;
+        q.subspace_cols = {0, 1};
+        q.target_col = 2;
+        const double cx = rng.uniform(), cy = rng.uniform();
+        const double w = trial == 0 ? 2.0 : rng.uniform(0.05, 0.4);
+        q.range = Rect{{cx - w, cy - w}, {cx + w, cy + w}};
+        q.ball = Ball{{cx, cy}, w};
+        const double truth = brute_force_answer(t, q);
+        for (const ExecParadigm p : kParadigms) {
+          const auto r = exec.execute(q, p);
+          SCOPED_TRACE(std::string(to_string(p)) + " " + q.describe());
+          if (an == AnalyticType::kCount)
+            EXPECT_EQ(r.answer, truth);
+          else
+            EXPECT_NEAR(r.answer, truth, 1e-9 * (1.0 + std::abs(truth)));
+          EXPECT_FALSE(std::isnan(r.answer));
+        }
+      }
+    }
+  }
 }
 
 TEST(ExactExecutor, DomainCoversData) {

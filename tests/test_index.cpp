@@ -422,6 +422,8 @@ class RefKdTree {
   RefKdTree(std::size_t d, std::vector<double> pts)
       : d_(d), pts_(std::move(pts)), order_(pts_.size() / d) {
     std::iota(order_.begin(), order_.end(), 0u);
+    nan_free_ = std::none_of(pts_.begin(), pts_.end(),
+                             [](double v) { return std::isnan(v); });
     if (order_.empty()) return;
     const auto n = static_cast<std::uint32_t>(order_.size());
     nodes_.resize(subtree_nodes(n));
@@ -434,7 +436,9 @@ class RefKdTree {
   }
 
   /// Ids in walk order and the walk's cost for a closed rectangle: the
-  /// library's right-first walk with IdCollector semantics.
+  /// library's right-first walk with IdCollector semantics. A NaN
+  /// coordinate never qualifies, and a tree holding one takes no node
+  /// whole (its min/max bounds skip NaN).
   std::vector<std::uint64_t> range_query(const Rect& r,
                                          KdQueryCost* cost) const {
     std::vector<std::uint64_t> out;
@@ -512,7 +516,7 @@ class RefKdTree {
     }
     if (disjoint) {
       ++cost.nodes_visited;
-    } else if (inside) {
+    } else if (inside && nan_free_) {
       cost.nodes_visited += n.nodes;
       cost.points_examined += n.end - n.begin;
       emit_all(idx, out);
@@ -526,7 +530,7 @@ class RefKdTree {
       for (std::uint32_t s = n.begin; s < n.end; ++s) {
         bool in = true;
         for (std::size_t j = 0; j < d_; ++j)
-          in &= !(at(order_[s])[j] < r.lo[j]) & !(at(order_[s])[j] > r.hi[j]);
+          in &= (at(order_[s])[j] >= r.lo[j]) & (at(order_[s])[j] <= r.hi[j]);
         if (in) out.push_back(order_[s]);
       }
     }
@@ -537,6 +541,7 @@ class RefKdTree {
   std::vector<std::uint32_t> order_;
   std::vector<Node> nodes_;
   std::vector<double> bounds_;
+  bool nan_free_ = true;
 };
 
 enum class BuildData { kClustered, kDuplicates, kAllEqual, kSignedZeros, kNaN };
@@ -667,11 +672,9 @@ TEST(KdTree, FlatConstructorMatchesPointConstructor) {
                std::invalid_argument);
 }
 
-// NaN coordinates fail every ball test, so a tree holding them must not
-// take a ball-contained node whole: the count must match brute force.
-// Rectangle tests pass NaN on its own axis, but node pruning (bounds skip
-// NaN) can drop such points, so rectangle counts are checked against the
-// walk's per-point answer (range_query) rather than brute force.
+// NaN coordinates fail every ball and rectangle test, so a tree holding
+// them must not take a contained node whole (its bounds skip NaN): both
+// counts must match brute force.
 TEST(KdTree, NanCoordinatesKeepShortcutSound) {
   auto pts = kd_data(KdData::kUniform, 200, 2, 91);
   for (std::size_t i = 0; i < pts.size(); i += 7)
@@ -686,6 +689,7 @@ TEST(KdTree, NanCoordinatesKeepShortcutSound) {
     tree.visit_range(r, rc, &rcost);
     tree.visit_radius(b, bc, &bcost);
     EXPECT_EQ(bc.count, brute_radius(pts, b).size());
+    EXPECT_EQ(rc.count, brute_range(pts, r).size());
     EXPECT_EQ(rc.count, tree.range_query(r, &rref).size());
     EXPECT_EQ(bc.count, tree.radius_query(b, &bref).size());
     EXPECT_TRUE(same_cost(rcost, rref));

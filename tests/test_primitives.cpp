@@ -1,5 +1,6 @@
-// Tests: deterministic parallel primitives (src/common/primitives.h) and
-// the columnar scan kernels built on them (src/data/columnar.h).
+// Tests: deterministic parallel primitives (src/common/primitives.h), the
+// columnar scan kernels built on them (src/data/columnar.h), and the exact
+// selection the k-d builder runs (src/common/select.h).
 //
 // Three families of guarantees:
 //  * correctness — every primitive matches a naive serial reference
@@ -16,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -24,6 +26,7 @@
 #include "common/parallel.h"
 #include "common/primitives.h"
 #include "common/rng.h"
+#include "common/select.h"
 #include "data/columnar.h"
 #include "data/generator.h"
 #include "data/table.h"
@@ -639,6 +642,203 @@ TEST(ProductHistogramColumnar, MatchesPointBuildAndRejectsRagged) {
   const std::vector<double> shorter(c1.begin(), c1.begin() + 100);
   const std::vector<std::span<const double>> ragged = {c0, shorter};
   EXPECT_THROW(ProductHistogram(ragged, 32), std::invalid_argument);
+}
+
+// --- select_nth against std::nth_element ---
+
+enum class SelectData {
+  kRandom, kSorted, kReversed, kOrganPipe, kAllEqual, kFewDistinct,
+  kSignedZeros, kNaN, kNaNAtMedianSlots
+};
+
+constexpr SelectData kSelectDataKinds[] = {
+    SelectData::kRandom,      SelectData::kSorted,
+    SelectData::kReversed,    SelectData::kOrganPipe,
+    SelectData::kAllEqual,    SelectData::kFewDistinct,
+    SelectData::kSignedZeros, SelectData::kNaN,
+    SelectData::kNaNAtMedianSlots};
+
+/// n values of one shape. kNaNAtMedianSlots is NaN-laced data with NaN at
+/// the first median-of-3 candidates (index 1, n / 2 and n - 1).
+std::vector<double> select_data(SelectData kind, std::size_t n, Rng& rng) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = static_cast<double>(i);
+    switch (kind) {
+      case SelectData::kRandom: v[i] = rng.uniform(-1.0, 1.0); break;
+      case SelectData::kSorted: v[i] = x; break;
+      case SelectData::kReversed: v[i] = static_cast<double>(n) - x; break;
+      case SelectData::kOrganPipe:
+        v[i] = std::min(x, static_cast<double>(n) - x);
+        break;
+      case SelectData::kAllEqual: v[i] = 0.5; break;
+      case SelectData::kFewDistinct:
+        v[i] = static_cast<double>(rng.uniform_index(4));
+        break;
+      case SelectData::kSignedZeros:
+        v[i] = rng.uniform() < 0.5 ? 0.0 : -0.0;
+        break;
+      case SelectData::kNaN:
+      case SelectData::kNaNAtMedianSlots:
+        v[i] = rng.uniform() < 0.1 ? kNaN : rng.uniform();
+        break;
+    }
+  }
+  if (kind == SelectData::kNaNAtMedianSlots && n > 3)
+    v[1] = v[n / 2] = v[n - 1] = kNaN;
+  return v;
+}
+
+/// The k-d builder's two element types: a physical record {c[D], index}
+/// compared on one axis, and a u32 index into row-major coordinates.
+template <std::size_t D>
+struct SelectRecord {
+  double c[D];
+  std::uint32_t index;
+};
+
+template <typename T>
+bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// A record's bytes, padding excepted.
+template <std::size_t D>
+bool same_bytes(const SelectRecord<D>& a, const SelectRecord<D>& b) {
+  return std::memcmp(a.c, b.c, sizeof(a.c)) == 0 && a.index == b.index;
+}
+
+/// select_nth and std::nth_element on copies of `v` leave the same bytes.
+template <typename T, typename Less>
+bool same_select(const std::vector<T>& v, std::size_t nth, Less less) {
+  std::vector<T> got = v, want = v;
+  select_nth(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(nth),
+             got.end(), less);
+  std::nth_element(want.begin(),
+                   want.begin() + static_cast<std::ptrdiff_t>(nth),
+                   want.end(), less);
+  return std::equal(got.begin(), got.end(), want.begin(),
+                    [](const T& a, const T& b) { return same_bytes(a, b); });
+}
+
+const auto kDoubleLess = [](double a, double b) { return a < b; };
+
+TEST(SelectDiff, EveryNthUpTo64) {
+  Rng rng(101);
+  for (const SelectData kind : kSelectDataKinds) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      const auto v = select_data(kind, n, rng);
+      for (std::size_t nth = 0; nth <= n; ++nth)
+        ASSERT_TRUE(same_select(v, nth, kDoubleLess))
+            << "kind=" << static_cast<int>(kind) << " n=" << n
+            << " nth=" << nth;
+    }
+  }
+}
+
+TEST(SelectDiff, RandomSizesUpTo200k) {
+  Rng rng(102);
+  for (int trial = 0; trial < 12; ++trial) {
+    for (const SelectData kind : kSelectDataKinds) {
+      // Log-uniform sizes, so every scale up to 200k is sampled.
+      const auto n = static_cast<std::size_t>(
+          std::exp(rng.uniform(std::log(65.0), std::log(200000.0))));
+      const auto v = select_data(kind, n, rng);
+      const std::size_t nth =
+          trial % 3 == 0 ? n / 2 : rng.uniform_index(n + 1);
+      ASSERT_TRUE(same_select(v, nth, kDoubleLess))
+          << "kind=" << static_cast<int>(kind) << " n=" << n
+          << " nth=" << nth;
+    }
+  }
+}
+
+/// McIlroy's adversary ("A Killer Adversary for Quicksort", 1999), aimed at
+/// std::nth_element(.., nth, ..): every item starts as "gas" and is frozen
+/// to the next small value only when a comparison needs it, so each
+/// pivot is among the smallest candidates. Replaying the frozen values as
+/// plain input repeats the same comparisons.
+std::vector<double> antiqsort_input(std::size_t n, std::size_t nth) {
+  const int gas = static_cast<int>(n);
+  std::vector<int> val(n, gas);
+  int solid = 0;
+  int candidate = -1;
+  std::vector<int> items(n);
+  std::iota(items.begin(), items.end(), 0);
+  std::nth_element(items.begin(),
+                   items.begin() + static_cast<std::ptrdiff_t>(nth),
+                   items.end(), [&](int x, int y) {
+                     if (val[x] == gas && val[y] == gas)
+                       val[x == candidate ? x : y] = solid++;
+                     if (val[x] == gas)
+                       candidate = x;
+                     else if (val[y] == gas)
+                       candidate = y;
+                     return val[x] < val[y];
+                   });
+  return {val.begin(), val.end()};
+}
+
+TEST(SelectDiff, AntiQsortAdversaryReachesHeapSelect) {
+  for (const std::size_t n : {1000u, 4096u, 20000u}) {
+    const auto v = antiqsort_input(n, n / 2);
+    // Each partition round over at most n elements makes at most n + 6
+    // comparisons (median of 3 included), and the final insertion sort at
+    // most 3: more than 2 * floor(lg n) rounds can make means the depth
+    // limit ran out and the heap select ran.
+    std::uint64_t comparisons = 0;
+    std::vector<double> probe = v;
+    std::nth_element(probe.begin(), probe.begin() + n / 2, probe.end(),
+                     [&](double a, double b) {
+                       ++comparisons;
+                       return a < b;
+                     });
+    const auto lg = static_cast<std::uint64_t>(std::bit_width(n) - 1);
+    EXPECT_GT(comparisons, 2 * lg * (n + 6) + 3) << "n=" << n;
+    EXPECT_TRUE(same_select(v, n / 2, kDoubleLess)) << "n=" << n;
+    EXPECT_TRUE(same_select(v, n / 3, kDoubleLess)) << "n=" << n;
+  }
+}
+
+template <std::size_t D>
+void expect_builder_elements_select_alike(std::uint64_t seed) {
+  Rng rng(seed);
+  for (const SelectData kind : kSelectDataKinds) {
+    const std::size_t n = 1 + rng.uniform_index(5000);
+    std::vector<double> coords(n * D);
+    for (std::size_t j = 0; j < D; ++j) {
+      const auto col = select_data(kind, n, rng);
+      for (std::size_t i = 0; i < n; ++i) coords[i * D + j] = col[i];
+    }
+    std::vector<SelectRecord<D>> records(n);
+    std::vector<std::uint32_t> indices(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy_n(coords.data() + i * D, D, records[i].c);
+      records[i].index = indices[i] = static_cast<std::uint32_t>(i);
+    }
+    const std::size_t axis = rng.uniform_index(D);
+    const std::size_t nth = rng.uniform_index(n);
+    const auto record_less = [axis](const SelectRecord<D>& a,
+                                    const SelectRecord<D>& b) {
+      return a.c[axis] < b.c[axis];
+    };
+    const auto index_less = [&](std::uint32_t a, std::uint32_t b) {
+      return coords[a * D + axis] < coords[b * D + axis];
+    };
+    EXPECT_TRUE(same_select(records, nth, record_less))
+        << "D=" << D << " kind=" << static_cast<int>(kind) << " n=" << n;
+    EXPECT_TRUE(same_select(indices, nth, index_less))
+        << "D=" << D << " kind=" << static_cast<int>(kind) << " n=" << n;
+  }
+}
+
+TEST(SelectDiff, BuilderElementTypes) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    expect_builder_elements_select_alike<1>(seed);
+    expect_builder_elements_select_alike<2>(seed);
+    expect_builder_elements_select_alike<3>(seed);
+  }
 }
 
 }  // namespace
