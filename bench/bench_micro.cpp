@@ -712,12 +712,13 @@ double row_scan_aggregate(const ScanBench& s) {
   return agg.finalize(AnalyticType::kAvg) + static_cast<double>(agg.count);
 }
 
-double columnar_scan_aggregate(const ScanBench& s,
-                               std::vector<std::uint32_t>& sel) {
-  select_range(s.table, s.cols, s.query, sel);
+double columnar_scan_aggregate(const ScanBench& s) {
   const auto t_col = s.table.column(2);
   AggregateState agg;
-  for (const std::uint32_t r : sel) agg.add(t_col[r], 0.0);
+  visit_range(s.table, s.cols, s.query,
+              [&](std::span<const std::uint32_t> ids) {
+                for (const std::uint32_t r : ids) agg.add(t_col[r], 0.0);
+              });
   return agg.finalize(AnalyticType::kAvg) + static_cast<double>(agg.count);
 }
 
@@ -780,9 +781,8 @@ void run_primitives_sweep(BenchJsonWriter& json) {
   double col_1t = 0.0, grid_1t = 0.0, si_1t = 0.0;
   for (const std::size_t threads : threads_sweep) {
     set_configured_threads(threads);
-    std::vector<std::uint32_t> sel;
     const double col_ms = best_of_ms(kReps, [&] {
-      benchmark::DoNotOptimize(columnar_scan_aggregate(sb, sel));
+      benchmark::DoNotOptimize(columnar_scan_aggregate(sb));
     });
     if (threads == 1) col_1t = col_ms;
     json.begin("columnar_scan_aggregate");
@@ -827,49 +827,20 @@ void run_primitives_sweep(BenchJsonWriter& json) {
   set_configured_threads(0);
 }
 
-/// Learned-vs-exact access-structure sweep (ISSUE PR9 tentpole): build
-/// wall, lookup wall and resident bytes for the learned score index vs
-/// the hash-map score index, and the learned grid vs the uniform grid,
-/// at 1M and 10M rows x SEA_THREADS 1/2/4/8. Lookup cost should be flat
-/// across thread counts (probes are serial by design); build should
-/// scale like the sort it is built from. The memory column is the paper
-/// trade: the learned layer replaces per-key hash freight with two flat
-/// arrays and a few dozen line segments.
+/// Learned-vs-uniform grid sweep: build wall, lookup wall and resident
+/// bytes for the learned grid vs the uniform grid, at 1M and 10M rows x
+/// SEA_THREADS 1/2/4/8. Lookup cost should be flat across thread counts
+/// (probes are serial by design); build should scale like the counting
+/// sort it is built from.
 void run_learned_sweep(BenchJsonWriter& json) {
   const std::size_t threads_sweep[] = {1, 2, 4, 8};
-  constexpr std::size_t kProbes = 100000;
-  std::printf("\nlearned-index sweep\n");
+  std::printf("\nlearned-grid sweep\n");
   std::printf("%-24s %10s %8s %12s %12s %12s\n", "structure", "rows",
               "threads", "build_ms", "lookup_ms", "bytes");
 
   for (const std::size_t rows :
        {std::size_t{1000000}, std::size_t{10000000}}) {
     const std::size_t reps = rows >= 10000000 ? 2 : 3;
-    // Scored relation with mostly-distinct keys — the score index's
-    // designed workload (rank-join keys), where the hash map pays per-key
-    // freight the learned layer does not.
-    Table table;
-    {
-      Rng trng(47);
-      std::vector<double> key(rows), score(rows), payload(rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        key[r] = static_cast<double>(trng.uniform_index(rows * 4));
-        score[r] = trng.uniform();
-        payload[r] = trng.uniform();
-      }
-      table = Table::from_columns(Schema({"key", "score", "payload"}),
-                                  {std::move(key), std::move(score),
-                                   std::move(payload)});
-    }
-    // Probe keys drawn from the table's own key column (mostly hits)
-    // plus a slice of random misses.
-    std::vector<std::uint64_t> probes(kProbes);
-    Rng prng(48);
-    for (auto& k : probes)
-      k = prng.uniform() < 0.8
-              ? static_cast<std::uint64_t>(std::llround(
-                    table.at(prng.uniform_index(rows), 0)))
-              : prng.uniform_index(std::uint64_t{1} << 40);
     const auto pts = bench_points(rows, 2);
     const Rect domain{{0, 0}, {1, 1}};
     Rng qrng(49);
@@ -892,31 +863,6 @@ void run_learned_sweep(BenchJsonWriter& json) {
         std::printf("%-24s %10zu %8zu %12.2f %12.2f %12zu\n", name, rows,
                     threads, build_ms, lookup_ms, bytes);
       };
-
-      double sum = 0.0;
-      const double ls_build = best_of_ms(reps, [&] {
-        LearnedScoreIndex idx(table, 0, 1, 2);
-        benchmark::DoNotOptimize(idx.size());
-      });
-      const LearnedScoreIndex learned(table, 0, 1, 2);
-      const double ls_lookup = best_of_ms(reps, [&] {
-        sum = 0.0;
-        for (const auto k : probes) sum += learned.best_score_for_key(k);
-        benchmark::DoNotOptimize(sum);
-      });
-      emit("learned_score_index", ls_build, ls_lookup, learned.byte_size());
-
-      const double si_build = best_of_ms(reps, [&] {
-        ScoreIndex idx(table, 0, 1, 2);
-        benchmark::DoNotOptimize(idx.size());
-      });
-      const ScoreIndex exact(table, 0, 1, 2);
-      const double si_lookup = best_of_ms(reps, [&] {
-        sum = 0.0;
-        for (const auto k : probes) sum += exact.best_score_for_key(k);
-        benchmark::DoNotOptimize(sum);
-      });
-      emit("hash_score_index", si_build, si_lookup, exact.byte_size());
 
       const double lg_build = best_of_ms(reps, [&] {
         LearnedGrid g(pts, domain, 64);
@@ -1019,16 +965,15 @@ int run_perf_smoke() {
   // kernel strictly removes work — per-row Point stores and per-access
   // bounds checks — so this holds even serially).
   const ScanBench sb = make_scan_bench(kRows);
-  std::vector<std::uint32_t> sel;
   double col_sum = 0.0, row_sum = 0.0;
   set_configured_threads(1);
   const double col_1t =
-      best_of_ms(kReps, [&] { col_sum = columnar_scan_aggregate(sb, sel); });
+      best_of_ms(kReps, [&] { col_sum = columnar_scan_aggregate(sb); });
   const double row_ms =
       best_of_ms(kReps, [&] { row_sum = row_scan_aggregate(sb); });
   set_configured_threads(2);
   const double col_2t =
-      best_of_ms(kReps, [&] { col_sum = columnar_scan_aggregate(sb, sel); });
+      best_of_ms(kReps, [&] { col_sum = columnar_scan_aggregate(sb); });
   gate("columnar_scan_aggregate", col_1t, col_2t, row_ms,
        col_sum == row_sum);
   if (col_2t > kTolerance * row_ms + kSlackMs) {
@@ -1038,58 +983,11 @@ int run_perf_smoke() {
     ok = false;
   }
 
-  // Learned-index gates (ISSUE PR9): the learned tier ships only if it is
-  // (a) exact — every probe answers bitwise-identically to the reference
-  // structure — and (b) thread-monotone, same relative gate as the
-  // primitives. The naive column is the reference structure's build.
+  // Learned-grid gate: the learned grid ships only if it is (a) exact —
+  // every probe answers identically to the uniform grid — and (b)
+  // thread-monotone, same relative gate as the primitives. The naive
+  // column is the uniform grid's build.
   {
-    Rng trng(53);
-    std::vector<double> key(kRows), score(kRows), payload(kRows);
-    for (std::size_t r = 0; r < kRows; ++r) {
-      key[r] = static_cast<double>(trng.uniform_index(kRows * 4));
-      score[r] = trng.uniform();
-      payload[r] = trng.uniform();
-    }
-    const Table scored =
-        Table::from_columns(Schema({"key", "score", "payload"}),
-                            {std::move(key), std::move(score),
-                             std::move(payload)});
-    std::vector<std::uint64_t> probes(10000);
-    for (auto& k : probes)
-      k = trng.uniform() < 0.8
-              ? static_cast<std::uint64_t>(
-                    std::llround(scored.at(trng.uniform_index(kRows), 0)))
-              : trng.uniform_index(std::uint64_t{1} << 40);
-
-    set_configured_threads(1);
-    const double ls_1t = best_of_ms(kReps, [&] {
-      LearnedScoreIndex idx(scored, 0, 1, 2);
-      benchmark::DoNotOptimize(idx.size());
-    });
-    const double si_ms = best_of_ms(kReps, [&] {
-      ScoreIndex idx(scored, 0, 1, 2);
-      benchmark::DoNotOptimize(idx.size());
-    });
-    set_configured_threads(2);
-    const double ls_2t = best_of_ms(kReps, [&] {
-      LearnedScoreIndex idx(scored, 0, 1, 2);
-      benchmark::DoNotOptimize(idx.size());
-    });
-    const LearnedScoreIndex learned(scored, 0, 1, 2);
-    const ScoreIndex exact(scored, 0, 1, 2);
-    bool same = learned.size() == exact.size();
-    for (const auto k : probes) {
-      const auto lr = learned.ranks_for_key(k);
-      const auto er = exact.ranks_for_key(k);
-      same = same && lr.size() == er.size() &&
-             std::equal(lr.begin(), lr.end(), er.begin());
-      const double a = learned.best_score_for_key(k);
-      const double b = exact.best_score_for_key(k);
-      same = same && std::bit_cast<std::uint64_t>(a) ==
-                         std::bit_cast<std::uint64_t>(b);
-    }
-    gate("learned_score_index", ls_1t, ls_2t, si_ms, same);
-
     const auto pts = bench_points(kRows, 2);
     const Rect domain{{0, 0}, {1, 1}};
     set_configured_threads(1);

@@ -9,6 +9,10 @@
 #             line coverage for src/ and fails if src/obs, src/recovery,
 #             src/membership, src/placement, src/fault, src/common, or
 #             src/index drops below 90%
+#   reach     scripts/reach.sh: an -O1 --coverage build runs the 20
+#             E-benches, the 5 examples and one serving_bench episode per
+#             perfbench workload, and fails if a src/ function that none
+#             of them executes is missing from its allowlist
 # plus a perf-smoke stage after the default preset: bench_micro
 # --perf-smoke gates the parallel primitives against naive serial
 # references (relative, host-speed-independent) and writes
@@ -136,4 +140,9 @@ for gated in src/obs src/recovery src/membership src/placement src/fault src/com
   echo "coverage gate: ${gated} at ${pct}% (floor 90%)"
 done
 
-echo "CI: default, asan, ubsan, tsan, and coverage stages all passed."
+# Reach: code that no experiment, example or serving path executes is
+# either deleted or allowlisted with a reason (DESIGN.md, "Kept on
+# purpose").
+scripts/reach.sh
+
+echo "CI: default, asan, ubsan, tsan, coverage, and reach stages all passed."

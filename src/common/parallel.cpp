@@ -72,11 +72,6 @@ void set_configured_threads(std::size_t threads) {
   g_resolved = true;
 }
 
-ThreadPool* global_thread_pool() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return pool_locked();
-}
-
 bool in_parallel_region() noexcept { return t_in_parallel_region; }
 
 void ParallelChunks(std::size_t n,

@@ -32,9 +32,6 @@ std::size_t configured_threads();
 /// to call concurrently with in-flight ParallelFor calls.
 void set_configured_threads(std::size_t threads);
 
-/// The process-wide pool (created on demand). nullptr in serial mode.
-ThreadPool* global_thread_pool();
-
 /// True while the calling thread is inside a ParallelFor/ParallelChunks
 /// body; nested parallel calls run serially to avoid pool deadlock.
 bool in_parallel_region() noexcept;

@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -118,16 +119,20 @@ inline double reduce_add(std::span<const double> v) {
       [](double a, double b) { return a + b; });
 }
 
-/// Parallel (min, max) of a span; {0, 0} when empty. Min/max combine is
-/// exact, so the result matches a serial scan regardless of tree shape.
+/// Parallel (min, max) of a span's non-NaN values; {+inf, -inf} when it
+/// has none (empty included). Each block starts from ±inf, and
+/// std::min(acc, v) keeps acc for a NaN v and for an equal v, so NaNs are
+/// skipped wherever they sit and the first-seen ±0 wins. Min/max combine
+/// is exact, so the result matches a serial NaN-skipping scan regardless
+/// of tree shape.
 inline std::pair<double, double> minmax(std::span<const double> v) {
-  if (v.empty()) return {0.0, 0.0};
   using MM = std::pair<double, double>;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   return blocked_reduce(
-      v.size(), MM{v[0], v[0]},
+      v.size(), MM{kInf, -kInf},
       [&](std::size_t begin, std::size_t end) {
-        MM mm{v[begin], v[begin]};
-        for (std::size_t i = begin + 1; i < end; ++i) {
+        MM mm{kInf, -kInf};
+        for (std::size_t i = begin; i < end; ++i) {
           mm.first = std::min(mm.first, v[i]);
           mm.second = std::max(mm.second, v[i]);
         }

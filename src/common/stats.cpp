@@ -54,10 +54,6 @@ void RunningCovariance::add(double x, double y) noexcept {
   c2_ += dx * (y - mean_y_);
 }
 
-double RunningCovariance::covariance() const noexcept {
-  return n_ > 1 ? c2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningCovariance::correlation() const noexcept {
   if (n_ < 2) return 0.0;
   const double denom = std::sqrt(m2_x_ * m2_y_);
@@ -66,39 +62,6 @@ double RunningCovariance::correlation() const noexcept {
 
 double RunningCovariance::slope() const noexcept {
   return m2_x_ > 0.0 ? c2_ / m2_x_ : 0.0;
-}
-
-void QuantileBuffer::add(double x) noexcept {
-  ++seen_;
-  if (buf_.size() < capacity_) {
-    buf_.push_back(x);
-    sorted_ = false;
-    return;
-  }
-  // Reservoir replacement (Algorithm R) keeps the buffer an unbiased sample.
-  std::uint64_t z = (rng_state_ += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  const auto idx = static_cast<std::size_t>(z % seen_);
-  if (idx < capacity_) {
-    buf_[idx] = x;
-    sorted_ = false;
-  }
-}
-
-double QuantileBuffer::quantile(double q) const {
-  if (buf_.empty()) throw std::logic_error("QuantileBuffer::quantile on empty");
-  if (!sorted_) {
-    std::sort(buf_.begin(), buf_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(buf_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, buf_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return buf_[lo] * (1.0 - frac) + buf_[hi] * frac;
 }
 
 void SlidingQuantile::add(double x) noexcept {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,7 +32,7 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Running bivariate statistics: covariance, Pearson correlation, and the
+/// Running bivariate statistics: Pearson correlation and the
 /// simple-linear-regression slope/intercept of y on x.
 class RunningCovariance {
  public:
@@ -42,8 +41,6 @@ class RunningCovariance {
   std::size_t count() const noexcept { return n_; }
   double mean_x() const noexcept { return mean_x_; }
   double mean_y() const noexcept { return mean_y_; }
-  /// Sample covariance (n-1 denominator).
-  double covariance() const noexcept;
   /// Pearson correlation coefficient in [-1, 1]; 0 when degenerate.
   double correlation() const noexcept;
   /// OLS slope of y ~ x; 0 when x has no variance.
@@ -55,38 +52,6 @@ class RunningCovariance {
   double mean_x_ = 0.0, mean_y_ = 0.0;
   double m2_x_ = 0.0, m2_y_ = 0.0;
   double c2_ = 0.0;
-};
-
-/// Exact quantiles over a buffered sample (sorts on demand).
-/// Suitable for per-quantum residual tracking where populations are small.
-/// Once at capacity, reservoir-samples (deterministically seeded) so the
-/// buffer remains an unbiased sample of the whole stream.
-class QuantileBuffer {
- public:
-  explicit QuantileBuffer(std::size_t capacity = 4096,
-                          std::uint64_t seed = 0x9c0f1e5au)
-      : capacity_(capacity), rng_state_(seed) {}
-
-  void add(double x) noexcept;
-
-  std::size_t count() const noexcept { return seen_; }
-  bool empty() const noexcept { return buf_.empty(); }
-
-  /// Quantile q in [0,1] by linear interpolation. Requires non-empty buffer.
-  double quantile(double q) const;
-
-  void clear() noexcept {
-    buf_.clear();
-    seen_ = 0;
-    sorted_ = true;
-  }
-
- private:
-  std::size_t capacity_;
-  std::uint64_t rng_state_;
-  std::size_t seen_ = 0;
-  mutable std::vector<double> buf_;
-  mutable bool sorted_ = true;
 };
 
 /// Quantiles over a sliding window of the most recent `capacity` values.

@@ -1,24 +1,8 @@
 #include "data/columnar.h"
 
-#include "common/primitives.h"
+#include <algorithm>
 
 namespace sea {
-
-void select_range(const Table& table, std::span<const std::size_t> cols,
-                  const Rect& rect, std::vector<std::uint32_t>& sel) {
-  sel.clear();
-  visit_range(table, cols, rect, [&](std::span<const std::uint32_t> ids) {
-    sel.insert(sel.end(), ids.begin(), ids.end());
-  });
-}
-
-void select_ball(const Table& table, std::span<const std::size_t> cols,
-                 const Ball& ball, std::vector<std::uint32_t>& sel) {
-  sel.clear();
-  visit_ball(table, cols, ball, [&](std::span<const std::uint32_t> ids) {
-    sel.insert(sel.end(), ids.begin(), ids.end());
-  });
-}
 
 namespace {
 
@@ -73,29 +57,6 @@ void nearest_rows(const Table& table, std::span<const std::size_t> cols,
     }
   });
   std::sort_heap(out.begin(), out.end(), nearer);
-}
-
-ColumnAggregates aggregate_column(std::span<const double> column,
-                                  std::span<const std::uint32_t> sel) {
-  return par::blocked_reduce(
-      sel.size(), ColumnAggregates{},
-      [&](std::size_t begin, std::size_t end) {
-        ColumnAggregates a;
-        for (std::size_t i = begin; i < end; ++i) {
-          const double v = column[sel[i]];
-          ++a.count;
-          a.sum += v;
-          a.sum_sq += v * v;
-        }
-        return a;
-      },
-      [](const ColumnAggregates& a, const ColumnAggregates& b) {
-        ColumnAggregates r;
-        r.count = a.count + b.count;
-        r.sum = a.sum + b.sum;
-        r.sum_sq = a.sum_sq + b.sum_sq;
-        return r;
-      });
 }
 
 }  // namespace sea

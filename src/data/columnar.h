@@ -165,15 +165,6 @@ void visit_ball(const Table& table, std::span<const std::size_t> cols,
                   });
 }
 
-/// Row ids (ascending) of rows whose `cols` values lie inside `rect`.
-/// `sel` is cleared first; its capacity is reused across calls.
-void select_range(const Table& table, std::span<const std::size_t> cols,
-                  const Rect& rect, std::vector<std::uint32_t>& sel);
-
-/// Row ids (ascending) of rows within `ball` (closed) over `cols`.
-void select_ball(const Table& table, std::span<const std::size_t> cols,
-                 const Ball& ball, std::vector<std::uint32_t>& sel);
-
 /// One nearest-neighbour candidate: a row and its squared distance.
 struct NearRow {
   double d2 = 0.0;
@@ -194,20 +185,5 @@ inline std::uint64_t distance_rank(double d) noexcept {
 void nearest_rows(const Table& table, std::span<const std::size_t> cols,
                   std::span<const double> center, std::size_t k,
                   std::vector<NearRow>& out);
-
-/// Count / sum / sum-of-squares of one column restricted to a selection
-/// vector — the blocked tree-combined aggregate used by the bench kernels.
-struct ColumnAggregates {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-};
-
-/// Tree-combined aggregate of column[sel[i]] over the whole selection.
-/// Parallel over fixed blocks of the selection; combine order depends only
-/// on sel.size(), so the result is thread-count-invariant (though not
-/// bit-equal to a serial left fold — callers needing that fold serially).
-ColumnAggregates aggregate_column(std::span<const double> column,
-                                  std::span<const std::uint32_t> sel);
 
 }  // namespace sea

@@ -1,6 +1,5 @@
 #include "data/csv.h"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
@@ -22,12 +21,6 @@ void write_csv(const Table& table, std::ostream& out) {
     }
     out << '\n';
   }
-}
-
-void write_csv_file(const Table& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_csv_file: cannot open " + path);
-  write_csv(table, out);
 }
 
 Table read_csv(std::istream& in) {
@@ -68,12 +61,6 @@ Table read_csv(std::istream& in) {
     table.append_row(row);
   }
   return table;
-}
-
-Table read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv_file: cannot open " + path);
-  return read_csv(in);
 }
 
 }  // namespace sea

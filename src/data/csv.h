@@ -13,11 +13,9 @@ namespace sea {
 /// Writes `table` as a header line followed by one comma-separated row per
 /// tuple, full double precision.
 void write_csv(const Table& table, std::ostream& out);
-void write_csv_file(const Table& table, const std::string& path);
 
 /// Parses a CSV produced by write_csv (header + numeric rows).
 /// Throws std::runtime_error on malformed input.
 Table read_csv(std::istream& in);
-Table read_csv_file(const std::string& path);
 
 }  // namespace sea

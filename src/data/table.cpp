@@ -134,8 +134,10 @@ Rect table_bounds(const Table& table, std::span<const std::size_t> cols) {
   r.hi.assign(cols.size(), 0.0);
   if (table.num_rows() == 0) return r;
   for (std::size_t i = 0; i < cols.size(); ++i) {
-    // Blocked parallel min/max: exact, so identical to a serial scan.
+    // Blocked parallel min/max: exact, so identical to a serial scan. It
+    // skips NaN; a column with no other value keeps the empty fallback.
     const auto [mn, mx] = par::minmax(table.column(cols[i]));
+    if (mn > mx) continue;
     r.lo[i] = mn;
     r.hi[i] = mx;
   }

@@ -1,14 +1,12 @@
 #include "exec/exec_report.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace sea {
 
 // Completeness guard: merge() below must combine every field. ExecReport
 // is 24 trivially-copyable 8-byte fields; adding one changes the size and
-// fails this assert until merge() (and summary(), where relevant) are
-// updated to cover the new field.
+// fails this assert until merge() is updated to cover the new field.
 static_assert(sizeof(ExecReport) == 24 * 8,
               "ExecReport gained/lost a field: update merge() and this guard");
 
@@ -52,28 +50,6 @@ double ExecReport::money_cost_usd(const CostRates& rates) const noexcept {
       static_cast<double>(shuffle_bytes + result_bytes) / 1.073741824e9;
   return node_hours * rates.usd_per_node_hour +
          gb * rates.usd_per_gb_transfer;
-}
-
-std::string ExecReport::summary() const {
-  std::ostringstream os;
-  os << "wall=" << wall_ms << "ms makespan=" << makespan_ms()
-     << "ms work=" << total_work_ms()
-     << "ms shuffle=" << shuffle_bytes << "B result=" << result_bytes
-     << "B map_tasks=" << map_tasks << " reduce_tasks=" << reduce_tasks
-     << " rpcs=" << rpc_round_trips;
-  if (retries || dropped_messages || tasks_rerouted)
-    os << " retries=" << retries << " dropped=" << dropped_messages
-       << " rerouted=" << tasks_rerouted << " backoff=" << modelled_backoff_ms
-       << "ms";
-  if (retry_budget_exhausted)
-    os << " retry_budget_exhausted=" << retry_budget_exhausted;
-  if (hedged_rpcs || breaker_fast_fails)
-    os << " hedged=" << hedged_rpcs << " hedges_won=" << hedges_won
-       << " breaker_fast_fails=" << breaker_fast_fails;
-  if (recoveries || shard_restore_bytes)
-    os << " recoveries=" << recoveries << " restored=" << shard_restore_bytes
-       << "B";
-  return os.str();
 }
 
 }  // namespace sea

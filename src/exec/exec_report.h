@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace sea {
 
@@ -94,8 +93,6 @@ struct ExecReport {
   double money_cost_usd(const CostRates& rates) const noexcept;
 
   void merge(const ExecReport& o) noexcept;
-
-  std::string summary() const;
 };
 
 }  // namespace sea

@@ -450,10 +450,4 @@ GeoAnswer GeoSystem::submit_impl(std::size_t edge,
   return out;
 }
 
-std::size_t GeoSystem::edge_agent_bytes() const {
-  std::size_t total = 0;
-  for (const auto& a : edge_agents_) total += a.byte_size();
-  return total;
-}
-
 }  // namespace sea

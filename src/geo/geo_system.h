@@ -174,7 +174,6 @@ class GeoSystem {
     return cluster_->network().stats();
   }
   const Cluster& cluster() const noexcept { return *cluster_; }
-  std::size_t edge_agent_bytes() const;
 
  private:
   NodeId edge_node(std::size_t edge) const {

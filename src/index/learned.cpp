@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -11,287 +10,6 @@
 #include "index/cell_iter.h"
 
 namespace sea {
-
-namespace {
-
-/// Least-squares fit of *run-first* position on key over
-/// sorted_keys[begin, end), slope clamped to >= 0 so the model is
-/// monotone — the property the window-soundness argument in
-/// RmiModel::fit rests on. lower_bound answers always land on the first
-/// slot of a duplicate run, so that is the position worth predicting: a
-/// constant array collapses to err 0 instead of ballooning to n/2.
-/// Degenerate inputs (empty range, constant keys, non-finite moments)
-/// collapse to the flat model slope=0, intercept=first position.
-std::pair<double, double> fit_monotone_line(std::span<const double> keys,
-                                            std::size_t begin,
-                                            std::size_t end) {
-  const std::size_t m = end - begin;
-  if (m == 0) return {0.0, static_cast<double>(begin)};
-  double sum_k = 0.0, sum_i = 0.0, sum_kk = 0.0, sum_ki = 0.0;
-  std::size_t run_first = begin;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (keys[i] != keys[run_first]) run_first = i;
-    const double k = keys[i];
-    const double p = static_cast<double>(run_first);
-    sum_k += k;
-    sum_i += p;
-    sum_kk += k * k;
-    sum_ki += k * p;
-  }
-  const double dn = static_cast<double>(m);
-  const double var = sum_kk - sum_k * sum_k / dn;
-  double slope = 0.0;
-  if (var > 0.0 && std::isfinite(var)) slope = (sum_ki - sum_k * sum_i / dn) / var;
-  if (!(slope > 0.0)) slope = 0.0;  // monotone; also catches NaN
-  const double intercept = (sum_i - slope * sum_k) / dn;
-  return {slope, std::isfinite(intercept) ? intercept
-                                          : static_cast<double>(begin)};
-}
-
-/// Integer prediction of `line` at `key`, clamped into [lo, hi]. The same
-/// formula runs at build time (error accounting) and at query time
-/// (window placement), so the advertised bound is exactly the one probed.
-std::size_t predict_clamped(double slope, double intercept, double key,
-                            std::size_t lo, std::size_t hi) noexcept {
-  const double p = slope * key + intercept;
-  if (!(p > static_cast<double>(lo))) return lo;  // also catches NaN
-  if (p >= static_cast<double>(hi)) return hi;
-  return static_cast<std::size_t>(std::llround(p)) > hi
-             ? hi
-             : std::max(lo, static_cast<std::size_t>(std::llround(p)));
-}
-
-std::size_t abs_diff(std::size_t a, std::size_t b) noexcept {
-  return a > b ? a - b : b - a;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// RmiModel
-// ---------------------------------------------------------------------------
-
-void RmiModel::fit(std::span<const double> sorted_keys,
-                   std::size_t leaf_target) {
-  const std::size_t n = sorted_keys.size();
-  n_ = n;
-  segments_.clear();
-  max_err_ = 0;
-  if (leaf_target == 0) leaf_target = 128;
-  const std::size_t num_segs = std::clamp<std::size_t>(
-      n / std::max<std::size_t>(1, leaf_target), 1, std::size_t{1} << 16);
-  if (n == 0) {
-    router_slope_ = 0.0;
-    router_intercept_ = 0.0;
-    segments_.push_back(RmiSegment{});
-    return;
-  }
-
-  // Stage 1: one monotone line over the whole array routes a key to its
-  // leaf segment. Fitted with the blocked pairwise-tree reduction so the
-  // moments — and with them every downstream parameter — are bit-identical
-  // at any SEA_THREADS.
-  struct Moments {
-    double k = 0.0, i = 0.0, kk = 0.0, ki = 0.0;
-  };
-  const Moments mo = par::blocked_reduce(
-      n, Moments{},
-      [&](std::size_t begin, std::size_t end) {
-        Moments m;
-        for (std::size_t i = begin; i < end; ++i) {
-          const double k = sorted_keys[i];
-          const double p = static_cast<double>(i);
-          m.k += k;
-          m.i += p;
-          m.kk += k * k;
-          m.ki += k * p;
-        }
-        return m;
-      },
-      [](const Moments& a, const Moments& b) {
-        return Moments{a.k + b.k, a.i + b.i, a.kk + b.kk, a.ki + b.ki};
-      });
-  const double dn = static_cast<double>(n);
-  const double var = mo.kk - mo.k * mo.k / dn;
-  router_slope_ = 0.0;
-  if (var > 0.0 && std::isfinite(var))
-    router_slope_ = (mo.ki - mo.k * mo.i / dn) / var;
-  if (!(router_slope_ > 0.0)) router_slope_ = 0.0;
-  router_intercept_ = (mo.i - router_slope_ * mo.k) / dn;
-  if (!std::isfinite(router_intercept_)) router_intercept_ = 0.0;
-
-  // Segment boundaries: route() is monotone in the key and keys are
-  // sorted, so segment ids are non-decreasing along the array and each
-  // boundary is a partition point — computable independently per segment.
-  segments_.assign(num_segs, RmiSegment{});
-  std::vector<std::uint32_t> bounds(num_segs + 1, 0);
-  bounds[num_segs] = static_cast<std::uint32_t>(n);
-  ParallelFor(num_segs, [&](std::size_t s) {
-    if (s == 0) return;  // bounds[0] = 0
-    const auto it = std::partition_point(
-        sorted_keys.begin(), sorted_keys.end(),
-        [&](double k) { return route(k) < s; });
-    bounds[s] = static_cast<std::uint32_t>(it - sorted_keys.begin());
-  });
-
-  // Stage 2: per-segment monotone line + error bound. Equal keys always
-  // route to the same segment, so duplicate runs never span a boundary
-  // and the per-run positions the bound must cover are all local. err
-  // covers (a) the run-first position of every run — the lower_bound
-  // answer for any present key — and (b) for every run except the
-  // segment's last, the run-last position: an unseen key falling between
-  // two runs lands at run-last + 1, and its own prediction can sit as
-  // low as the left run's. Together with the monotone prediction this
-  // makes [pred - err, pred + err + 1] clipped to the segment a sound
-  // lower_bound window for any query key whose value lies within the
-  // segment's key range; keys outside that range are resolved by the
-  // caller's O(1) boundary comparisons (see
-  // LearnedScoreIndex::ranks_for_key) — the exactness-by-construction
-  // contract. A segment holding one giant duplicate run therefore
-  // advertises err 0, not half its length.
-  ParallelFor(num_segs, [&](std::size_t s) {
-    RmiSegment& seg = segments_[s];
-    seg.begin = bounds[s];
-    seg.end = bounds[s + 1];
-    const auto [slope, intercept] =
-        fit_monotone_line(sorted_keys, seg.begin, seg.end);
-    seg.slope = slope;
-    seg.intercept = intercept;
-    std::size_t err = 0;
-    std::size_t run_first = seg.begin;
-    for (std::size_t i = seg.begin; i < seg.end; ++i) {
-      if (sorted_keys[i] != sorted_keys[run_first]) run_first = i;
-      const bool run_end =
-          i + 1 == seg.end || sorted_keys[i + 1] != sorted_keys[i];
-      if (!run_end) continue;
-      const std::size_t pred = predict_clamped(slope, intercept,
-                                               sorted_keys[i], seg.begin,
-                                               seg.end);
-      err = std::max(err, abs_diff(pred, run_first));
-      if (i + 1 < seg.end && i > pred) err = std::max(err, i - pred);
-    }
-    seg.err = static_cast<std::uint32_t>(
-        std::min<std::size_t>(err, UINT32_MAX));
-  });
-  for (const RmiSegment& s : segments_) max_err_ = std::max(max_err_, s.err);
-}
-
-std::size_t RmiModel::route(double key) const noexcept {
-  if (n_ == 0 || segments_.size() <= 1) return 0;
-  const double pos = router_slope_ * key + router_intercept_;
-  const double scaled =
-      pos * static_cast<double>(segments_.size()) / static_cast<double>(n_);
-  if (!(scaled > 0.0)) return 0;
-  const auto s = static_cast<std::size_t>(scaled);
-  return std::min(s, segments_.size() - 1);
-}
-
-RmiModel::Window RmiModel::locate(double key) const noexcept {
-  Window w;
-  if (n_ == 0) return w;
-  w.seg = static_cast<std::uint32_t>(route(key));
-  const RmiSegment& seg = segments_[w.seg];
-  w.pred = predict_clamped(seg.slope, seg.intercept, key, seg.begin, seg.end);
-  const std::size_t err = seg.err;
-  w.lo = std::max<std::size_t>(seg.begin, w.pred > err ? w.pred - err : 0);
-  w.hi = std::min<std::size_t>(seg.end, w.pred + err + 1);
-  return w;
-}
-
-// ---------------------------------------------------------------------------
-// LearnedScoreIndex
-// ---------------------------------------------------------------------------
-
-LearnedScoreIndex::LearnedScoreIndex(const Table& table, std::size_t key_col,
-                                     std::size_t score_col,
-                                     std::size_t payload_col)
-    : by_rank_(build_rank_order(table, key_col, score_col, payload_col)) {
-  const std::size_t n = by_rank_.size();
-  // Key-sorted permutation of the rank order: (key asc, rank asc) is a
-  // strict total order, so the deterministic sample sort gives the same
-  // array at any SEA_THREADS — and within one key the ranks come out
-  // ascending, exactly the order ScoreIndex's hash map accumulates.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> kv(n);
-  ParallelChunks(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      kv[i] = {by_rank_[i].key, static_cast<std::uint32_t>(i)};
-  });
-  par::sample_sort(std::span<std::pair<std::uint64_t, std::uint32_t>>(kv));
-  keys_.resize(n);
-  ranks_.resize(n);
-  std::vector<double> keyd(n);
-  ParallelChunks(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      keys_[i] = kv[i].first;
-      ranks_[i] = kv[i].second;
-      keyd[i] = static_cast<double>(kv[i].first);
-    }
-  });
-  rmi_.fit(keyd);
-}
-
-const ScoredTuple& LearnedScoreIndex::by_rank(std::size_t rank) const {
-  if (rank >= by_rank_.size())
-    throw std::out_of_range("LearnedScoreIndex::by_rank");
-  return by_rank_[rank];
-}
-
-std::span<const std::uint32_t> LearnedScoreIndex::ranks_for_key(
-    std::uint64_t key, RmiProbeCost* cost) const {
-  if (keys_.empty()) return {};
-  const RmiModel::Window w = rmi_.locate(static_cast<double>(key));
-  const RmiSegment& seg = rmi_.segment(w.seg);
-  if (cost) {
-    ++cost->lookups;
-    cost->advertised_error = std::max<std::uint64_t>(
-        cost->advertised_error, seg.err + std::uint64_t{1});
-  }
-  // O(1) boundary guards: routing is monotone, so a key outside this
-  // segment's key range is absent from the whole array (every occurrence
-  // would have routed here). This is what lets a duplicate-heavy segment
-  // advertise a tiny err — the window never has to reach the insertion
-  // point of out-of-range misses.
-  if (seg.begin == seg.end || key < keys_[seg.begin] ||
-      key > keys_[seg.end - 1])
-    return {};
-  // Last mile: exact binary search inside the bounded window, with u64
-  // comparisons so the result is exact even where the double cast of the
-  // key is lossy. A run of u64 keys sharing one double can outgrow the
-  // window at the segment's tail (the one run err does not cover past
-  // its first slot); landing on the window's upper edge extends the
-  // search to the segment end — rare, and still inside one segment.
-  const auto first = keys_.begin() + static_cast<std::ptrdiff_t>(w.lo);
-  auto last = keys_.begin() + static_cast<std::ptrdiff_t>(w.hi);
-  auto pos = std::lower_bound(first, last, key);
-  std::size_t slots = w.hi - w.lo;
-  if (pos == last && w.hi < seg.end) {
-    last = keys_.begin() + static_cast<std::ptrdiff_t>(seg.end);
-    pos = std::lower_bound(pos, last, key);
-    slots += seg.end - w.hi;
-  }
-  const auto found = static_cast<std::size_t>(pos - keys_.begin());
-  if (cost) {
-    cost->window_slots += slots;
-    cost->observed_error =
-        std::max<std::uint64_t>(cost->observed_error, abs_diff(found, w.pred));
-  }
-  if (found == static_cast<std::size_t>(last - keys_.begin()) ||
-      keys_[found] != key)
-    return {};
-  // Equal keys never span a segment boundary, so the full duplicate run
-  // lies in [pos, seg.end) even when it outruns the window.
-  const auto run_end = std::upper_bound(
-      pos, keys_.begin() + static_cast<std::ptrdiff_t>(seg.end), key);
-  return std::span<const std::uint32_t>(
-      ranks_.data() + found, static_cast<std::size_t>(run_end - pos));
-}
-
-double LearnedScoreIndex::best_score_for_key(std::uint64_t key,
-                                             RmiProbeCost* cost) const {
-  const auto ranks = ranks_for_key(key, cost);
-  if (ranks.empty()) return -std::numeric_limits<double>::infinity();
-  return by_rank_[ranks.front()].score;
-}
 
 // ---------------------------------------------------------------------------
 // LearnedCdf

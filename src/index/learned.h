@@ -1,26 +1,16 @@
-// Learned-index tier (paper E3/E4 "statistical indexes", pushed to the
-// modern learned-index form — LiLIS / RMI, see PAPERS.md).
+// Learned spatial grid (paper E4/E6 "statistical indexes", pushed to the
+// modern learned-index form — LiLIS, see PAPERS.md).
 //
-// Two structures, both *exact by construction*: a model predicts where an
-// answer lives, a provably sound bounded window around the prediction is
-// searched exactly, so every lookup returns byte-identical results to the
-// heavyweight exact index it replaces — the differential harness in
+// LearnedGrid learns the per-dimension CDF (piecewise-linear over sampled
+// quantiles) and places cell boundaries at equal CDF mass, so skewed data
+// gets balanced cells where a uniform grid degenerates. It is *exact by
+// construction*: same query API and answers as GridIndex; only the cell
+// placement — and therefore the cost — differs. The differential harness in
 // tests/test_learned_index.cpp enforces exactly that contract.
 //
-//  * RmiModel / LearnedScoreIndex — a two-stage recursive model index over
-//    sorted keys: stage 1 is a monotone linear router onto leaf segments,
-//    stage 2 a per-segment linear model with a recorded max-error bound.
-//    A lookup costs O(1) model evaluation + a binary search over at most
-//    2*err+2 slots ("last mile"). Replaces ScoreIndex's hash map random
-//    access at a fraction of the memory.
-//  * LearnedGrid — a spatial grid that learns the per-dimension CDF
-//    (piecewise-linear over sampled quantiles) and places cell boundaries
-//    at equal CDF mass, so skewed data gets balanced cells where a uniform
-//    grid degenerates. Same query API and answers as GridIndex.
-//
-// Both builds run on the shared pool (ParallelFor / par::sample_sort /
-// par::counting_sort) and are bit-identical at SEA_THREADS 1 vs 8: every
-// model parameter and every array is a pure function of the input.
+// The build runs on the shared pool (ParallelChunks / par::counting_sort)
+// and is bit-identical at SEA_THREADS 1 vs 8: every model parameter and
+// every array is a pure function of the input.
 #pragma once
 
 #include <cstdint>
@@ -31,136 +21,8 @@
 #include "data/point.h"
 #include "data/table.h"
 #include "index/grid.h"
-#include "index/score_index.h"
 
 namespace sea {
-
-// ---------------------------------------------------------------------------
-// RMI over a sorted key array.
-// ---------------------------------------------------------------------------
-
-/// One stage-2 leaf: a linear model over the keys routed to it, plus the
-/// max position error it was observed to make at build time. `begin/end`
-/// is the slice of the sorted key array the segment owns; because the
-/// stage-1 router is monotone in the key, each segment's keys form a
-/// contiguous run and any query routed here has its answer inside
-/// [begin, end] — the error window is clipped to that range, which is what
-/// makes the lookup exact even for never-seen keys.
-struct RmiSegment {
-  double slope = 0.0;
-  double intercept = 0.0;
-  std::uint32_t err = 0;    ///< max |predicted - true| over trained keys
-  std::uint32_t begin = 0;  ///< first position owned by this segment
-  std::uint32_t end = 0;    ///< one past the last position
-};
-
-/// Per-lookup accounting, mirroring KdQueryCost/GridQueryCost: how wide the
-/// last-mile window was and how far the model actually missed. The
-/// error-bound contract (tests assert it, never trust it) is
-///   observed_error <= advertised_error   for every lookup.
-struct RmiProbeCost {
-  std::uint64_t lookups = 0;
-  std::uint64_t window_slots = 0;     ///< total last-mile window width
-  std::uint64_t observed_error = 0;   ///< max |found - predicted| seen
-  std::uint64_t advertised_error = 0; ///< max (segment err + 1) consulted
-};
-
-/// Two-stage RMI: fit() learns the router and the segments over a sorted
-/// (ascending) key array; locate() returns a window guaranteed to contain
-/// std::lower_bound's answer for the query key.
-class RmiModel {
- public:
-  RmiModel() = default;
-
-  /// Fits over `sorted_keys` (must be ascending; duplicates fine).
-  /// `leaf_target` ~ keys per stage-2 segment (0 = default).
-  void fit(std::span<const double> sorted_keys, std::size_t leaf_target = 0);
-
-  struct Window {
-    std::size_t lo = 0;    ///< inclusive
-    std::size_t hi = 0;    ///< inclusive as a position (lower_bound may
-                           ///< return hi); search range is [lo, hi]
-    std::size_t pred = 0;  ///< the model's point prediction
-    std::uint32_t seg = 0;
-  };
-
-  /// O(1): route + predict + clip. For any key within the routed
-  /// segment's key range, the index of the first sorted key >= `key`
-  /// (i.e. lower_bound) lies in [lo, hi]. Keys outside that range need
-  /// no window at all: routing is monotone, so their lower_bound is the
-  /// segment boundary itself — segment(w.seg).begin below the range,
-  /// .end above it (two O(1) comparisons for the caller).
-  Window locate(double key) const noexcept;
-
-  std::size_t size() const noexcept { return n_; }
-  std::size_t num_segments() const noexcept { return segments_.size(); }
-  const RmiSegment& segment(std::size_t s) const { return segments_.at(s); }
-  /// Largest per-segment error bound (the advertised worst case).
-  std::uint32_t max_error() const noexcept { return max_err_; }
-  std::size_t byte_size() const noexcept {
-    return segments_.size() * sizeof(RmiSegment) + sizeof(*this);
-  }
-
- private:
-  std::size_t route(double key) const noexcept;
-
-  std::vector<RmiSegment> segments_;
-  double router_slope_ = 0.0;
-  double router_intercept_ = 0.0;
-  std::size_t n_ = 0;
-  std::uint32_t max_err_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// LearnedScoreIndex — drop-in for ScoreIndex (rank-join random access).
-// ---------------------------------------------------------------------------
-
-/// Same build (identical rank order, bit for bit) and the same access
-/// paths as ScoreIndex, but random access by key goes through an RMI over
-/// the key-sorted tuple permutation instead of a hash map: 12 bytes/row +
-/// a few segments instead of an unordered_map. Lookups are exact — the
-/// differential suite drives this against ScoreIndex on every workload.
-class LearnedScoreIndex {
- public:
-  LearnedScoreIndex() = default;
-  LearnedScoreIndex(const Table& table, std::size_t key_col,
-                    std::size_t score_col, std::size_t payload_col);
-
-  std::size_t size() const noexcept { return by_rank_.size(); }
-  bool empty() const noexcept { return by_rank_.empty(); }
-
-  /// rank 0 = highest score; identical to ScoreIndex::by_rank.
-  const ScoredTuple& by_rank(std::size_t rank) const;
-
-  /// Indices (into rank order, ascending) of all tuples with this key;
-  /// empty if none. Byte-identical to ScoreIndex::ranks_for_key.
-  std::span<const std::uint32_t> ranks_for_key(
-      std::uint64_t key, RmiProbeCost* cost = nullptr) const;
-
-  /// Highest score present for `key`, or -inf when absent.
-  double best_score_for_key(std::uint64_t key,
-                            RmiProbeCost* cost = nullptr) const;
-
-  std::size_t byte_size() const noexcept {
-    return by_rank_.size() * sizeof(ScoredTuple) +
-           keys_.size() * sizeof(std::uint64_t) +
-           ranks_.size() * sizeof(std::uint32_t) + rmi_.byte_size();
-  }
-
-  const RmiModel& rmi() const noexcept { return rmi_; }
-  /// Key-sorted views (ascending key, rank-ascending within ties) — the
-  /// arrays the RMI predicts into; exposed for the property suite.
-  std::span<const std::uint64_t> sorted_keys() const noexcept { return keys_; }
-  std::span<const std::uint32_t> ranks_by_key() const noexcept {
-    return ranks_;
-  }
-
- private:
-  std::vector<ScoredTuple> by_rank_;
-  std::vector<std::uint64_t> keys_;   ///< sorted ascending
-  std::vector<std::uint32_t> ranks_;  ///< rank of keys_[i]'s tuple
-  RmiModel rmi_;
-};
 
 // ---------------------------------------------------------------------------
 // LearnedGrid — CDF-learned spatial grid (GridIndex's query API).

@@ -22,8 +22,9 @@ bool rank_before(const ScoredTuple& a, const ScoredTuple& b) noexcept {
   return a.row < b.row;
 }
 
-}  // namespace
-
+/// The canonical rank order: tuples sorted by (score desc, row asc) — a
+/// strict total order, so the deterministic parallel sample sort yields the
+/// same array at any SEA_THREADS.
 std::vector<ScoredTuple> build_rank_order(const Table& table,
                                           std::size_t key_col,
                                           std::size_t score_col,
@@ -52,6 +53,8 @@ std::vector<ScoredTuple> build_rank_order(const Table& table,
   par::sample_sort(std::span<ScoredTuple>(by_rank), rank_before);
   return by_rank;
 }
+
+}  // namespace
 
 ScoreIndex::ScoreIndex(const Table& table, std::size_t key_col,
                        std::size_t score_col, std::size_t payload_col)

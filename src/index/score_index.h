@@ -23,16 +23,6 @@ struct ScoredTuple {
   std::uint32_t row = 0;  ///< row index in the source partition
 };
 
-/// The canonical rank order every score index builds on: tuples sorted by
-/// (score desc, row asc) — a strict total order, so the deterministic
-/// parallel sample sort yields the same array at any SEA_THREADS. Shared
-/// by ScoreIndex and LearnedScoreIndex so the two are byte-identical by
-/// construction on the sorted-access path.
-std::vector<ScoredTuple> build_rank_order(const Table& table,
-                                          std::size_t key_col,
-                                          std::size_t score_col,
-                                          std::size_t payload_col);
-
 class ScoreIndex {
  public:
   ScoreIndex() = default;

@@ -6,36 +6,6 @@
 
 namespace sea {
 
-PageHinkleyDetector::PageHinkleyDetector(double delta, double lambda,
-                                         double alpha)
-    : delta_(delta), lambda_(lambda), alpha_(alpha) {
-  if (lambda <= 0.0)
-    throw std::invalid_argument("PageHinkleyDetector: lambda must be > 0");
-}
-
-bool PageHinkleyDetector::add(double value) {
-  ++n_;
-  // Exponentially-faded running mean.
-  mean_ = n_ == 1 ? value : alpha_ * mean_ + (1.0 - alpha_) * value;
-  cumulative_ += value - mean_ - delta_;
-  min_cumulative_ = std::min(min_cumulative_, cumulative_);
-  if (cumulative_ - min_cumulative_ > lambda_) {
-    ++alarms_;
-    const std::uint64_t alarms = alarms_;
-    reset();
-    alarms_ = alarms;
-    return true;
-  }
-  return false;
-}
-
-void PageHinkleyDetector::reset() noexcept {
-  mean_ = 0.0;
-  cumulative_ = 0.0;
-  min_cumulative_ = 0.0;
-  n_ = 0;
-}
-
 AdwinLiteDetector::AdwinLiteDetector(std::size_t window, double confidence)
     : capacity_(window), confidence_(confidence) {
   if (window < 8)

@@ -1,9 +1,5 @@
 // Concept-drift detection on residual/error streams (paper RT1.4).
 //
-// PageHinkleyDetector — classic Page-Hinkley test for mean increase; cheap
-// constant state, used per-quantum by the agent to notice that its model's
-// absolute errors started growing (query-pattern drift or stale data).
-//
 // AdwinLiteDetector — windowed two-halves mean comparison (a simplified
 // ADWIN): keeps a bounded ring of recent values and alarms when the recent
 // half's mean *exceeds* the older half's by more than an adaptive
@@ -17,30 +13,6 @@
 #include <vector>
 
 namespace sea {
-
-class PageHinkleyDetector {
- public:
-  /// `delta`: tolerated drift magnitude; `lambda`: alarm threshold.
-  explicit PageHinkleyDetector(double delta = 0.005, double lambda = 50.0,
-                               double alpha = 0.999);
-
-  /// Feeds one value; returns true when drift is detected (detector resets).
-  bool add(double value);
-
-  std::uint64_t samples() const noexcept { return n_; }
-  std::uint64_t alarms() const noexcept { return alarms_; }
-  void reset() noexcept;
-
- private:
-  double delta_;
-  double lambda_;
-  double alpha_;
-  double mean_ = 0.0;
-  double cumulative_ = 0.0;
-  double min_cumulative_ = 0.0;
-  std::uint64_t n_ = 0;
-  std::uint64_t alarms_ = 0;
-};
 
 class AdwinLiteDetector {
  public:

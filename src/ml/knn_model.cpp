@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace sea {
@@ -53,32 +52,6 @@ double KnnRegressor::predict(std::span<const double> x) const {
     value_sum += w * ys_[i];
   }
   return value_sum / weight_sum;
-}
-
-void KnnClassifier::add(Point x, int label) {
-  if (!xs_.empty() && x.size() != xs_[0].size())
-    throw std::invalid_argument("KnnClassifier::add: dims");
-  xs_.push_back(std::move(x));
-  labels_.push_back(label);
-}
-
-int KnnClassifier::predict(std::span<const double> x) const {
-  if (xs_.empty()) throw std::logic_error("KnnClassifier::predict: empty");
-  const auto nn = nearest(xs_, x, k_);
-  std::map<int, std::size_t> votes;
-  for (const auto& [d2, i] : nn) {
-    (void)d2;
-    ++votes[labels_[i]];
-  }
-  int best_label = votes.begin()->first;
-  std::size_t best_votes = 0;
-  for (const auto& [label, v] : votes) {
-    if (v > best_votes) {
-      best_votes = v;
-      best_label = label;
-    }
-  }
-  return best_label;
 }
 
 }  // namespace sea

@@ -1,9 +1,6 @@
-// k-nearest-neighbour regressor / classifier over stored examples.
-//
-// Serves two roles from the paper: the cold-start answer-space model for
-// quanta with too few (query, answer) pairs to fit a linear model (RT1.3),
-// and the "ad hoc ML task" operators of RT2.2 (kNN regression and kNN
-// classification over analyst-defined subspaces).
+// k-nearest-neighbour regressor over stored examples: the cold-start
+// answer-space model for quanta with too few (query, answer) pairs to fit a
+// linear model (paper RT1.3).
 #pragma once
 
 #include <cstddef>
@@ -40,22 +37,6 @@ class KnnRegressor {
   std::size_t k_;
   std::vector<Point> xs_;
   std::vector<double> ys_;
-};
-
-class KnnClassifier {
- public:
-  explicit KnnClassifier(std::size_t k = 5) : k_(k) {}
-
-  void add(Point x, int label);
-  std::size_t size() const noexcept { return xs_.size(); }
-
-  /// Majority label among the k nearest (ties -> smallest label).
-  int predict(std::span<const double> x) const;
-
- private:
-  std::size_t k_;
-  std::vector<Point> xs_;
-  std::vector<int> labels_;
 };
 
 }  // namespace sea

@@ -12,7 +12,6 @@
 #include "common/timer.h"
 #include "exec/coordinator.h"
 #include "index/bloom.h"
-#include "index/learned.h"
 #include "index/score_index.h"
 
 namespace sea {
@@ -73,13 +72,8 @@ class TopK {
 /// (cluster, table) so repeated joins amortize builds like persistent
 /// storage-node indexes would.
 struct SurgicalIndexes {
-  // Exactly one of the two index families is populated, per the spec's
-  // use_learned_index flag (the cache key includes it, so both variants
-  // can coexist for the same tables — the differential tests rely on it).
-  std::vector<ScoreIndex> r_index;             // per node
-  std::vector<ScoreIndex> s_index;             // per node
-  std::vector<LearnedScoreIndex> r_learned;    // per node
-  std::vector<LearnedScoreIndex> s_learned;    // per node
+  std::vector<ScoreIndex> r_index;      // per node
+  std::vector<ScoreIndex> s_index;      // per node
   std::vector<BloomFilter> s_blooms;    // per node, over S keys
   double s_max_score = 0.0;
   double build_ms = 0.0;
@@ -96,8 +90,7 @@ std::unordered_map<std::string, SurgicalIndexes>& index_cache() {
 std::string cache_key(const Cluster& cluster, const RankJoinSpec& spec) {
   return std::to_string(reinterpret_cast<std::uintptr_t>(&cluster)) + "/" +
          spec.table_r + "/" + spec.table_s + "/" +
-         std::to_string(spec.key_col) + "," + std::to_string(spec.score_col) +
-         (spec.use_learned_index ? "/learned" : "/exact");
+         std::to_string(spec.key_col) + "," + std::to_string(spec.score_col);
 }
 
 SurgicalIndexes& surgical_indexes(Cluster& cluster,
@@ -119,31 +112,19 @@ SurgicalIndexes& surgical_indexes(Cluster& cluster,
                                         static_cast<NodeId>(node));
     const Table& sp = cluster.partition(spec.table_s,
                                         static_cast<NodeId>(node));
-    if (spec.use_learned_index) {
-      idx.r_learned.emplace_back(rp, spec.key_col, spec.score_col,
-                                 spec.payload_col);
-      idx.s_learned.emplace_back(sp, spec.key_col, spec.score_col,
-                                 spec.payload_col);
-    } else {
-      idx.r_index.emplace_back(rp, spec.key_col, spec.score_col,
-                               spec.payload_col);
-      idx.s_index.emplace_back(sp, spec.key_col, spec.score_col,
-                               spec.payload_col);
-    }
+    idx.r_index.emplace_back(rp, spec.key_col, spec.score_col,
+                             spec.payload_col);
+    idx.s_index.emplace_back(sp, spec.key_col, spec.score_col,
+                             spec.payload_col);
     BloomFilter bloom(std::max<std::size_t>(1, sp.num_rows()),
                       spec.bloom_fpr);
     const auto keys = sp.column(spec.key_col);
     for (const double kv : keys)
       bloom.insert(static_cast<std::uint64_t>(std::llround(kv)));
     idx.s_blooms.push_back(std::move(bloom));
-    const double top =
-        spec.use_learned_index
-            ? (idx.s_learned.back().empty()
-                   ? -std::numeric_limits<double>::infinity()
-                   : idx.s_learned.back().by_rank(0).score)
-            : (idx.s_index.back().empty()
-                   ? -std::numeric_limits<double>::infinity()
-                   : idx.s_index.back().by_rank(0).score);
+    const double top = idx.s_index.back().empty()
+                           ? -std::numeric_limits<double>::infinity()
+                           : idx.s_index.back().by_rank(0).score;
     idx.s_max_score = std::max(idx.s_max_score, top);
   }
   idx.build_ms = t.elapsed_ms();
@@ -245,29 +226,6 @@ RankJoinOutcome rank_join_surgical(Cluster& cluster, const RankJoinSpec& spec,
   const std::size_t n = cluster.num_nodes();
   CohortSession session(cluster, coordinator);
 
-  // Family-agnostic accessors: the exact and the learned score index share
-  // an identical rank order and identical per-key rank runs (the learned
-  // one is exact by construction), so the join below is oblivious to which
-  // family serves it.
-  const bool learned = spec.use_learned_index;
-  const auto r_size = [&](std::size_t node) {
-    return learned ? idx.r_learned[node].size() : idx.r_index[node].size();
-  };
-  const auto r_at =
-      [&](std::size_t node, std::size_t rank) -> const ScoredTuple& {
-    return learned ? idx.r_learned[node].by_rank(rank)
-                   : idx.r_index[node].by_rank(rank);
-  };
-  const auto s_ranks = [&](std::size_t node, std::uint64_t key) {
-    return learned ? idx.s_learned[node].ranks_for_key(key)
-                   : idx.s_index[node].ranks_for_key(key);
-  };
-  const auto s_at =
-      [&](std::size_t node, std::size_t rank) -> const ScoredTuple& {
-    return learned ? idx.s_learned[node].by_rank(rank)
-                   : idx.s_index[node].by_rank(rank);
-  };
-
   // Bootstrap: every node ships its Bloom filter and top scores, once per
   // index lifetime (amortized across joins like the indexes themselves).
   if (!idx.bootstrap_accounted) {
@@ -283,9 +241,9 @@ RankJoinOutcome rank_join_surgical(Cluster& cluster, const RankJoinSpec& spec,
   std::vector<std::size_t> cursor(n, 0);
   std::vector<double> next_score(n);
   for (std::size_t node = 0; node < n; ++node)
-    next_score[node] = r_size(node) == 0
+    next_score[node] = idx.r_index[node].empty()
                            ? -std::numeric_limits<double>::infinity()
-                           : r_at(node, 0).score;
+                           : idx.r_index[node].by_rank(0).score;
 
   TopK topk(spec.k);
 
@@ -293,7 +251,8 @@ RankJoinOutcome rank_join_surgical(Cluster& cluster, const RankJoinSpec& spec,
     std::size_t best = n;
     double best_score = -std::numeric_limits<double>::infinity();
     for (std::size_t node = 0; node < n; ++node) {
-      if (cursor[node] < r_size(node) && next_score[node] > best_score) {
+      if (cursor[node] < idx.r_index[node].size() &&
+          next_score[node] > best_score) {
         best_score = next_score[node];
         best = node;
       }
@@ -312,20 +271,20 @@ RankJoinOutcome rank_join_surgical(Cluster& cluster, const RankJoinSpec& spec,
 
     // Sorted-access batch pull from this node.
     const std::size_t take =
-        std::min(spec.batch_size, r_size(node) - cursor[node]);
+        std::min(spec.batch_size, idx.r_index[node].size() - cursor[node]);
     std::vector<ScoredTuple> batch = session.rpc(
         static_cast<NodeId>(node), 16, take * kTupleWireBytes + 8, [&] {
           std::vector<ScoredTuple> b;
           b.reserve(take);
           for (std::size_t i = 0; i < take; ++i)
-            b.push_back(r_at(node, cursor[node] + i));
+            b.push_back(idx.r_index[node].by_rank(cursor[node] + i));
           cluster.account_probe(static_cast<NodeId>(node), 1, take,
                                 take * kTupleWireBytes);
           return b;
         });
     cursor[node] += take;
-    next_score[node] = cursor[node] < r_size(node)
-                           ? r_at(node, cursor[node]).score
+    next_score[node] = cursor[node] < idx.r_index[node].size()
+                           ? idx.r_index[node].by_rank(cursor[node]).score
                            : -std::numeric_limits<double>::infinity();
     out.r_tuples_consumed += take;
 
@@ -359,11 +318,11 @@ RankJoinOutcome rank_join_surgical(Cluster& cluster, const RankJoinSpec& spec,
             std::vector<std::pair<std::uint64_t, double>> found;
             std::uint64_t touched = 0;
             for (const auto& [key, threshold] : probe_keys) {
-              const auto ranks = s_ranks(snode, key);
+              const auto ranks = idx.s_index[snode].ranks_for_key(key);
               // Ascending rank positions = descending scores: stop at the
               // first below-threshold score.
               for (const auto rank : ranks) {
-                const double sc = s_at(snode, rank).score;
+                const double sc = idx.s_index[snode].by_rank(rank).score;
                 if (sc <= threshold) break;
                 found.emplace_back(key, sc);
                 ++touched;

@@ -37,11 +37,6 @@ struct RankJoinSpec {
   std::size_t batch_size = 32;
   /// Surgical: per-node Bloom filter false-positive rate.
   double bloom_fpr = 0.01;
-  /// Surgical: serve random access from LearnedScoreIndex (RMI last-mile)
-  /// instead of ScoreIndex's hash map. Same results tuple for tuple — the
-  /// differential suite drives both paths against each other — at a
-  /// fraction of the index memory.
-  bool use_learned_index = false;
 };
 
 struct JoinResult {

@@ -34,12 +34,6 @@ void Rebalancer::observe_query(std::size_t shard, double cost_ms) {
   window_cost_[shard] += cost_ms;
 }
 
-double Rebalancer::shard_load(std::size_t shard) const {
-  if (shard >= ewma_.size())
-    throw std::out_of_range("Rebalancer::shard_load: bad shard");
-  return ewma_[shard];
-}
-
 NodeId Rebalancer::holder_of(std::size_t shard, std::uint64_t tick) const {
   if (!directory_.shard_active(shard)) return kNone;
   const ShardLease& l = directory_.lease(shard);

@@ -81,8 +81,6 @@ class Rebalancer {
   void on_tick(std::uint64_t tick);
 
   const RebalancerStats& stats() const noexcept { return stats_; }
-  /// Smoothed per-shard load (ms per period) after the last plan.
-  double shard_load(std::size_t shard) const;
   const RebalancerConfig& config() const noexcept { return config_; }
 
  private:

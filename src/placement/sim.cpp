@@ -196,7 +196,6 @@ void ElasticServingSim::serve_one(NodeId entry, std::uint32_t quantum,
   if (directory_.lease(shard).epoch > cached_epoch_[hslot])
     ++stats_.stale_epoch_serves;
   backlog_ms_[holder] += config_.query_cost_ms;
-  owner_latencies_ms_.push_back(backlog_ms_[holder]);
   if (rebalancer_) rebalancer_->observe_query(shard, config_.query_cost_ms);
   if (holder == entry || message(holder, entry, config_.answer_bytes))
     ++stats_.owner_serves;
@@ -245,21 +244,6 @@ std::uint64_t ElasticServingSim::dual_serves() const {
     if (!inserted && it->second != s.node) ++violations;
   }
   return violations;
-}
-
-double ElasticServingSim::p99_latency_ms() const {
-  if (owner_latencies_ms_.empty()) return 0.0;
-  std::vector<double> sorted = owner_latencies_ms_;
-  std::sort(sorted.begin(), sorted.end());
-  const auto idx = static_cast<std::size_t>(
-      0.99 * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
-double ElasticServingSim::node_backlog_ms(NodeId node) const {
-  if (node >= backlog_ms_.size())
-    throw std::out_of_range("ElasticServingSim::node_backlog_ms: bad node");
-  return backlog_ms_[node];
 }
 
 }  // namespace sea::placement

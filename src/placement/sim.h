@@ -119,9 +119,6 @@ class ElasticServingSim final : public MigrationListener {
   /// Post-hoc single-authority audit: ordered serve pairs where two
   /// distinct nodes owner-served the same (shard, epoch). Must be 0.
   std::uint64_t dual_serves() const;
-  /// p99 of modelled owner-serve latency (queue delay + serve cost), ms.
-  double p99_latency_ms() const;
-  double node_backlog_ms(NodeId node) const;
 
   // MigrationListener — the fencing contract (see header comment).
   void on_source_fenced(const Migration& m, std::uint64_t tick) override;
@@ -158,7 +155,6 @@ class ElasticServingSim final : public MigrationListener {
 
   ElasticSimStats stats_;
   std::vector<ElasticServe> serve_log_;
-  std::vector<double> owner_latencies_ms_;
 
   // Per-node knowledge, updated only by delivered messages (plus the
   // synchronous participant updates the migration protocol itself makes).

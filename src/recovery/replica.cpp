@@ -545,14 +545,6 @@ bool ModelReplicaSet::primary_tainted() const {
   return false;
 }
 
-DigestTree ModelReplicaSet::replica_digest(NodeId node) const {
-  const Replica* r = find(node);
-  if (!r) return DigestTree{};
-  std::stringstream wire;
-  r->agent.serialize(wire);
-  return digest_state(wire.str(), config_.scrub.page_bytes);
-}
-
 bool ModelReplicaSet::digests_converged() const {
   bool have = false;
   std::uint64_t root = 0;

@@ -235,9 +235,6 @@ class ModelReplicaSet final : public ServingModelProvider,
   /// to the defense logic — this is the E19 wrong-answer-serve account.
   bool replica_tainted(NodeId node) const;
   bool primary_tainted() const;
-  /// Digest tree of the replica's current serialized state (no modelled
-  /// cost charged — harness instrumentation, not a scrub).
-  DigestTree replica_digest(NodeId node) const;
   /// True when every up, caught-up replica shares one digest root.
   bool digests_converged() const;
   const RecoveryStats& stats() const noexcept { return stats_; }

@@ -6,6 +6,7 @@
 #include <span>
 #include <sstream>
 
+#include "common/primitives.h"
 #include "common/timer.h"
 #include "data/columnar.h"
 #include "exec/coordinator.h"
@@ -216,25 +217,26 @@ const Rect& ExactExecutor::domain(const std::vector<std::size_t>& cols) {
   const std::string key = colset_key(cols);
   auto it = domain_cache_.find(key);
   if (it != domain_cache_.end()) return it->second;
+  // Fold every partition's non-NaN min/max (par::minmax gives {+inf, -inf}
+  // for a partition with none, which adds nothing); a column with no
+  // non-NaN value anywhere gets the empty table's unit domain.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Rect bounds;
-  bool first = true;
+  bounds.lo.assign(cols.size(), kInf);
+  bounds.hi.assign(cols.size(), -kInf);
   for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
     const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    if (part.num_rows() == 0) continue;
-    const Rect b = table_bounds(part, cols);
-    if (first) {
-      bounds = b;
-      first = false;
-    } else {
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        bounds.lo[i] = std::min(bounds.lo[i], b.lo[i]);
-        bounds.hi[i] = std::max(bounds.hi[i], b.hi[i]);
-      }
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const auto [mn, mx] = par::minmax(part.column(cols[i]));
+      bounds.lo[i] = std::min(bounds.lo[i], mn);
+      bounds.hi[i] = std::max(bounds.hi[i], mx);
     }
   }
-  if (first) {
-    bounds.lo.assign(cols.size(), 0.0);
-    bounds.hi.assign(cols.size(), 1.0);
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    if (bounds.lo[i] > bounds.hi[i]) {
+      bounds.lo[i] = 0.0;
+      bounds.hi[i] = 1.0;
+    }
   }
   return domain_cache_.emplace(key, std::move(bounds)).first->second;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -196,25 +195,6 @@ std::vector<SubspaceFinding> find_interesting_subspaces(
     }
     if (i == d) break;
   }
-  return findings;
-}
-
-std::vector<SubspaceFinding> top_interesting_subspaces(
-    DatalessAgent& agent, const AnalyticalQuery& prototype, const Rect& domain,
-    double radius, std::size_t j, bool greater, std::size_t grid_per_dim,
-    double max_expected_rel_error) {
-  // Threshold at -inf/+inf keeps every confident prediction, then rank.
-  const double keep_all = greater ? -std::numeric_limits<double>::infinity()
-                                  : std::numeric_limits<double>::infinity();
-  auto findings = find_interesting_subspaces(agent, prototype, domain, radius,
-                                             keep_all, greater, grid_per_dim,
-                                             max_expected_rel_error);
-  std::sort(findings.begin(), findings.end(),
-            [greater](const SubspaceFinding& a, const SubspaceFinding& b) {
-              return greater ? a.predicted_value > b.predicted_value
-                             : a.predicted_value < b.predicted_value;
-            });
-  if (findings.size() > j) findings.resize(j);
   return findings;
 }
 

@@ -101,13 +101,4 @@ std::vector<SubspaceFinding> find_interesting_subspaces(
     double radius, double threshold, bool greater, std::size_t grid_per_dim,
     double max_expected_rel_error = 1e100);
 
-/// The ranking form of the same interrogation: the `j` subspaces with the
-/// highest (or lowest, when `greater` is false) predicted analytic value,
-/// sorted best-first — "return the data subspaces where ..." (§III.A) as a
-/// top-j query, answered entirely from models.
-std::vector<SubspaceFinding> top_interesting_subspaces(
-    DatalessAgent& agent, const AnalyticalQuery& prototype, const Rect& domain,
-    double radius, std::size_t j, bool greater, std::size_t grid_per_dim,
-    double max_expected_rel_error = 1e100);
-
 }  // namespace sea

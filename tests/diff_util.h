@@ -1,7 +1,7 @@
-// Differential-testing utilities for the learned-index harness: adversarial
-// workload generators (the distributions learned structures historically
-// get wrong) and canonicalizers/fingerprints so "byte-identical" is an
-// EXPECT_EQ, not a prose claim. Shared by test_learned_index.cpp,
+// Differential-testing utilities for the learned-grid harness: adversarial
+// point sets (the distributions learned structures historically get wrong)
+// and canonicalizers/fingerprints so "byte-identical" is an EXPECT_EQ, not
+// a prose claim. Shared by test_learned_index.cpp,
 // test_index.cpp regressions and the test_properties.cpp invariant sweep.
 #pragma once
 
@@ -13,90 +13,9 @@
 
 #include "common/rng.h"
 #include "data/point.h"
-#include "data/table.h"
 #include "index/learned.h"
 
 namespace sea::testing {
-
-// ---------------------------------------------------------------------------
-// Adversarial scored relations (key, score, payload) for the score-index
-// differential suite.
-// ---------------------------------------------------------------------------
-
-enum class KeyDist {
-  kUniform,      ///< distinct-ish keys over a wide range
-  kConstant,     ///< every row has the same key (one giant duplicate run)
-  kExponential,  ///< exponentially skewed key values (hard for linear models)
-  kHeavyDup,     ///< a handful of distinct keys, huge duplicate runs
-  kEmpty,        ///< zero rows
-  kSingleton,    ///< exactly one row
-};
-
-inline const char* to_string(KeyDist d) {
-  switch (d) {
-    case KeyDist::kUniform: return "uniform";
-    case KeyDist::kConstant: return "constant";
-    case KeyDist::kExponential: return "exponential";
-    case KeyDist::kHeavyDup: return "heavy_dup";
-    case KeyDist::kEmpty: return "empty";
-    case KeyDist::kSingleton: return "singleton";
-  }
-  return "?";
-}
-
-inline Table adversarial_scored_table(KeyDist dist, std::size_t rows,
-                                      std::uint64_t seed) {
-  if (dist == KeyDist::kEmpty) rows = 0;
-  if (dist == KeyDist::kSingleton) rows = 1;
-  Rng rng(seed);
-  std::vector<double> key(rows), score(rows), payload(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    switch (dist) {
-      case KeyDist::kConstant:
-        key[r] = 42.0;
-        break;
-      case KeyDist::kExponential:
-        // Exponentially spaced magnitudes: clusters near zero, a long
-        // sparse tail — the worst case for a single linear CDF.
-        key[r] = std::floor(std::exp(rng.uniform(0.0, 18.0)));
-        break;
-      case KeyDist::kHeavyDup:
-        key[r] = static_cast<double>(rng.uniform_index(5));
-        break;
-      default:
-        key[r] = static_cast<double>(rng.uniform_index(1u << 20));
-        break;
-    }
-    score[r] = rng.uniform();
-    payload[r] = rng.uniform(0.0, 100.0);
-  }
-  return Table::from_columns(
-      Schema({"key", "score", "payload"}),
-      {std::move(key), std::move(score), std::move(payload)});
-}
-
-/// Probe set for a scored table: every distinct present key plus misses on
-/// both sides and in the middle of the key range.
-inline std::vector<std::uint64_t> probe_keys_for(const Table& t,
-                                                 std::uint64_t seed) {
-  std::vector<std::uint64_t> keys;
-  if (t.num_rows()) {
-    const auto col = t.column(0);
-    keys.reserve(t.num_rows());
-    for (const double v : col)
-      keys.push_back(static_cast<std::uint64_t>(std::llround(v)));
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  }
-  // Guaranteed misses: below, above, and random keys (mostly absent).
-  std::vector<std::uint64_t> probes = keys;
-  probes.push_back(0);
-  probes.push_back(keys.empty() ? 1 : keys.back() + 1);
-  probes.push_back(std::uint64_t{1} << 62);
-  Rng rng(seed ^ 0xabcdefULL);
-  for (int i = 0; i < 32; ++i) probes.push_back(rng.uniform_index(1u << 21));
-  return probes;
-}
 
 // ---------------------------------------------------------------------------
 // Adversarial spatial datasets for the grid differential suite.
@@ -192,35 +111,6 @@ inline std::vector<std::uint64_t> canon(std::vector<std::uint64_t> ids) {
 /// Exact bit pattern of a double (NaN-safe, -0.0 != 0.0): the unit of
 /// "byte-identical" comparisons.
 inline std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Full bit-level fingerprint of a LearnedScoreIndex: every model
-/// parameter and every array element. Two fingerprints compare equal iff
-/// the structures are byte-identical.
-inline std::vector<std::uint64_t> fingerprint(const LearnedScoreIndex& idx) {
-  std::vector<std::uint64_t> fp;
-  fp.push_back(idx.size());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const ScoredTuple& t = idx.by_rank(r);
-    fp.push_back(t.key);
-    fp.push_back(bits(t.score));
-    fp.push_back(bits(t.payload));
-    fp.push_back(t.row);
-  }
-  for (const auto k : idx.sorted_keys()) fp.push_back(k);
-  for (const auto r : idx.ranks_by_key()) fp.push_back(r);
-  const RmiModel& m = idx.rmi();
-  fp.push_back(m.num_segments());
-  fp.push_back(m.max_error());
-  for (std::size_t s = 0; s < m.num_segments(); ++s) {
-    const RmiSegment& seg = m.segment(s);
-    fp.push_back(bits(seg.slope));
-    fp.push_back(bits(seg.intercept));
-    fp.push_back(seg.err);
-    fp.push_back(seg.begin);
-    fp.push_back(seg.end);
-  }
-  return fp;
-}
 
 /// Bit-level fingerprint of a LearnedGrid: CSR layout plus every CDF knot.
 inline std::vector<std::uint64_t> fingerprint(const LearnedGrid& g) {

@@ -212,37 +212,6 @@ TEST(RunningCovariance, DegenerateXGivesZeroSlope) {
   EXPECT_EQ(c.correlation(), 0.0);
 }
 
-TEST(QuantileBuffer, ExactQuantilesSmall) {
-  QuantileBuffer q(100);
-  for (int i = 1; i <= 99; ++i) q.add(i);
-  EXPECT_NEAR(q.quantile(0.5), 50.0, 1e-9);
-  EXPECT_NEAR(q.quantile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(q.quantile(1.0), 99.0, 1e-9);
-  EXPECT_NEAR(q.quantile(0.9), 89.2, 0.5);
-}
-
-TEST(QuantileBuffer, ReservoirApproximatesStream) {
-  QuantileBuffer q(512);
-  Rng rng(47);
-  for (int i = 0; i < 100000; ++i) q.add(rng.uniform());
-  EXPECT_EQ(q.count(), 100000u);
-  EXPECT_NEAR(q.quantile(0.5), 0.5, 0.08);
-  EXPECT_NEAR(q.quantile(0.9), 0.9, 0.08);
-}
-
-TEST(QuantileBuffer, ThrowsOnEmpty) {
-  QuantileBuffer q;
-  EXPECT_THROW(q.quantile(0.5), std::logic_error);
-}
-
-TEST(QuantileBuffer, ClearResets) {
-  QuantileBuffer q;
-  q.add(1.0);
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.count(), 0u);
-}
-
 TEST(ErrorMetrics, ZeroErrorOnIdentical) {
   const std::vector<double> t = {1, 2, 3};
   const auto m = compute_error_metrics(t, t);

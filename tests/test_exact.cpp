@@ -157,10 +157,9 @@ TEST(ExactExecutor, GridPathAlsoSurgical) {
 // A NaN coordinate never satisfies a range or radius predicate, on any
 // paradigm: COUNT and SUM over a NaN-laced table agree with brute force
 // (Rect::contains, Ball::contains) on MapReduce, the k-d trees, the grid
-// and the learned grid. Rows 0-3 open the four round-robin partitions:
-// their NaN x (and rows 0-1's NaN y) make those domains NaN (min/max keep
-// a leading NaN), so the uniform grid puts every point of that axis in
-// cell 0. Whole-domain probes would take NaN-holding k-d nodes whole if
+// and the learned grid. Rows 0-3 open the four round-robin partitions with
+// a NaN x (rows 0-1 with a NaN y too), which the grid domains skip.
+// Whole-domain probes would take NaN-holding k-d nodes whole if
 // containment ignored NaN.
 TEST(ExactExecutor, NanCoordinatesNeverQualifyOnAnyParadigm) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -207,6 +206,43 @@ TEST(ExactExecutor, NanCoordinatesNeverQualifyOnAnyParadigm) {
       }
     }
   }
+}
+
+// A NaN in a partition's first row leaves its domain alone: the uniform
+// grid over a 100 x 100 lattice (32 cells per axis) with x[0] = NaN
+// examines the 6 x 6 lattice points of the two cells per axis that a
+// 0.05-wide range touches. A NaN domain would put every point in x-cell 0
+// and examine 100 x 6. A partition whose column is all NaN adds nothing to
+// domain().
+TEST(ExactExecutor, LeadingNanKeepsGridDomainFinite) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> cols(2, std::vector<double>(10000));
+  for (std::size_t i = 0; i < 10000; ++i) {
+    cols[0][i] = static_cast<double>(i % 100) / 100.0;
+    cols[1][i] = static_cast<double>(i / 100) / 100.0;
+  }
+  cols[0][0] = kNaN;
+  const Table t = Table::from_columns(Schema({"x", "y"}), std::move(cols));
+  Cluster c = testing::make_cluster(t, "t", 1);
+  ExactExecutor exec(c, "t");
+  const Rect& dom = exec.domain({0, 1});
+  EXPECT_EQ(dom.lo, (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(dom.hi, (std::vector<double>{0.99, 0.99}));
+  const auto q = testing::range_count_query(0.10, 0.15, 0.10, 0.15);
+  c.reset_stats();
+  EXPECT_EQ(exec.execute(q, ExecParadigm::kCoordinatorGrid).answer, 36.0);
+  EXPECT_EQ(c.stats().rows_scanned, 36u);
+
+  // Two partitions, one of them all NaN on x: the domain is the other's.
+  std::vector<std::vector<double>> two(2, std::vector<double>(4));
+  two[0] = {kNaN, 0.25, kNaN, 0.75};
+  two[1] = {0.5, 0.5, 0.5, 0.5};
+  const Table t2 = Table::from_columns(Schema({"x", "y"}), std::move(two));
+  Cluster c2 = testing::make_cluster(t2, "t", 2);
+  ExactExecutor exec2(c2, "t");
+  const Rect& dom2 = exec2.domain({0});
+  EXPECT_EQ(dom2.lo, (std::vector<double>{0.25}));
+  EXPECT_EQ(dom2.hi, (std::vector<double>{0.75}));
 }
 
 TEST(ExactExecutor, DomainCoversData) {

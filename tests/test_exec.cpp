@@ -116,13 +116,6 @@ TEST(ExecReport, MoneyCostCombinesComputeAndTransfer) {
   EXPECT_DOUBLE_EQ(ExecReport{}.money_cost_usd(rates), 0.0);
 }
 
-TEST(ExecReport, SummaryMentionsCounters) {
-  ExecReport r;
-  r.map_tasks = 3;
-  const auto s = r.summary();
-  EXPECT_NE(s.find("map_tasks=3"), std::string::npos);
-}
-
 TEST(CohortSession, RpcAccountsNetworkAndOverhead) {
   const Table t = small_dataset(100, 2);
   Cluster c = testing::make_cluster(t, "t", 4);

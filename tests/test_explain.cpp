@@ -251,39 +251,6 @@ TEST_F(ExplainFixture, KnnExplanationTracksK) {
   EXPECT_NEAR(e->evaluate(100), truth, std::max(30.0, 0.35 * truth));
 }
 
-TEST_F(ExplainFixture, TopInterestingSubspacesRanksByValue) {
-  Rng rng(66);
-  const Rect domain = table_bounds(table, std::vector<std::size_t>{0, 1});
-  for (int i = 0; i < 1000; ++i) {
-    AnalyticalQuery q;
-    q.selection = SelectionType::kRadius;
-    q.analytic = AnalyticType::kCount;
-    q.subspace_cols = {0, 1};
-    q.ball.center = {rng.uniform(domain.lo[0], domain.hi[0]),
-                     rng.uniform(domain.lo[1], domain.hi[1])};
-    q.ball.radius = rng.uniform(0.05, 0.15);
-    agent.observe(q, brute_force_answer(table, q));
-  }
-  AnalyticalQuery proto;
-  proto.selection = SelectionType::kRadius;
-  proto.analytic = AnalyticType::kCount;
-  proto.subspace_cols = {0, 1};
-  proto.ball.center = {0.0, 0.0};
-  proto.ball.radius = 0.1;
-
-  const auto top = top_interesting_subspaces(agent, proto, domain, 0.1,
-                                             /*j=*/5, /*greater=*/true, 10);
-  ASSERT_EQ(top.size(), 5u);
-  for (std::size_t i = 1; i < top.size(); ++i)
-    EXPECT_GE(top[i - 1].predicted_value, top[i].predicted_value);
-  // The top finding should really be denser than the domain average.
-  AnalyticalQuery check = proto;
-  check.ball = top[0].region;
-  const double best_truth = brute_force_answer(table, check);
-  check.ball.center = domain.center();
-  EXPECT_GT(best_truth, 50.0);
-}
-
 TEST_F(ExplainFixture, FindInterestingSubspacesValidatesArgs) {
   AnalyticalQuery proto;
   proto.subspace_cols = {0, 1};

@@ -1,8 +1,7 @@
-// Differential-testing harness for the learned-index tier (ISSUE 9): every
-// learned structure is driven against its exact counterpart across
-// 100-seed randomized workloads and adversarial distributions, asserting
-// identical result sets and observed lookup error within the advertised
-// per-segment bound. "Exact by construction" is proven here, not assumed.
+// Differential-testing harness for the learned grid: LearnedGrid is driven
+// against GridIndex and brute force across 100-seed randomized workloads
+// and adversarial distributions, asserting identical result sets. "Exact
+// by construction" is proven here, not assumed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +16,6 @@
 #include "index/grid.h"
 #include "index/kdtree.h"
 #include "index/learned.h"
-#include "index/score_index.h"
-#include "ops/rank_join.h"
 #include "recovery/chaos.h"
 #include "sea/served.h"
 #include "test_util.h"
@@ -28,170 +25,12 @@ namespace {
 
 using recovery::chaos_seed_from_env;
 using testing::adversarial_points;
-using testing::adversarial_scored_table;
 using testing::canon;
 using testing::domain_of;
 using testing::fingerprint;
-using testing::KeyDist;
 using testing::PointDist;
-using testing::probe_keys_for;
 
 constexpr std::uint64_t kSeeds = 100;
-
-// ---------------------------------------------------------------------------
-// RmiModel unit behaviour.
-// ---------------------------------------------------------------------------
-
-TEST(RmiModel, EmptyAndSingleton) {
-  RmiModel m;
-  m.fit({});
-  EXPECT_EQ(m.size(), 0u);
-  const auto w = m.locate(3.0);
-  EXPECT_EQ(w.lo, 0u);
-  EXPECT_EQ(w.hi, 0u);
-
-  const std::vector<double> one{7.0};
-  m.fit(one);
-  for (const double q : {-1.0, 7.0, 8.0}) {
-    const auto win = m.locate(q);
-    const auto truth = static_cast<std::size_t>(
-        std::lower_bound(one.begin(), one.end(), q) - one.begin());
-    EXPECT_LE(win.lo, truth);
-    EXPECT_GE(win.hi, truth);
-  }
-}
-
-TEST(RmiModel, ConstantKeysCollapseToZeroError) {
-  const std::vector<double> keys(5000, 42.0);
-  RmiModel m;
-  m.fit(keys);
-  // A constant array is perfectly predictable: the bound must not balloon.
-  EXPECT_LE(m.max_error(), 1u);
-  const auto w = m.locate(42.0);
-  EXPECT_LE(w.lo, 0u);  // lower_bound answer is 0
-}
-
-TEST(RmiModel, WindowContainsLowerBoundForAnyQuery) {
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed);
-    std::vector<double> keys(1 + rng.uniform_index(3000));
-    const bool skew = seed % 2 == 0;
-    for (auto& k : keys)
-      k = skew ? std::floor(std::exp(rng.uniform(0.0, 15.0)))
-               : static_cast<double>(rng.uniform_index(1u << 16));
-    std::sort(keys.begin(), keys.end());
-    RmiModel m;
-    m.fit(keys);
-    // Probe every trained key plus random (mostly unseen) queries.
-    std::vector<double> probes = keys;
-    for (int i = 0; i < 64; ++i)
-      probes.push_back(static_cast<double>(rng.uniform_index(1u << 22)));
-    for (const double q : probes) {
-      const auto w = m.locate(q);
-      const auto& seg = m.segment(w.seg);
-      const auto truth = static_cast<std::size_t>(
-          std::lower_bound(keys.begin(), keys.end(), q) - keys.begin());
-      // locate's contract: out-of-range keys resolve at the segment
-      // boundary via the caller's O(1) guards; in-range keys fall inside
-      // the window.
-      if (seg.begin == seg.end || q < keys[seg.begin]) {
-        ASSERT_EQ(truth, seg.begin) << "q=" << q;
-      } else if (q > keys[seg.end - 1]) {
-        ASSERT_EQ(truth, seg.end) << "q=" << q;
-      } else {
-        ASSERT_LE(w.lo, truth) << "q=" << q;
-        ASSERT_GE(w.hi, truth) << "q=" << q;
-      }
-      // The window is as narrow as advertised.
-      ASSERT_LE(w.hi - w.lo,
-                2 * static_cast<std::size_t>(m.segment(w.seg).err) + 2);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// LearnedScoreIndex vs ScoreIndex: the differential contract.
-// ---------------------------------------------------------------------------
-
-class LearnedScoreDiff : public ::testing::TestWithParam<KeyDist> {};
-
-TEST_P(LearnedScoreDiff, MatchesScoreIndexEverywhere) {
-  const KeyDist dist = GetParam();
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE(std::string("dist=") + to_string(dist) +
-                 " seed=" + std::to_string(seed));
-    Rng size_rng(seed * 977);
-    const std::size_t rows = 1 + size_rng.uniform_index(400);
-    const Table t = adversarial_scored_table(dist, rows, seed);
-    const ScoreIndex exact(t, 0, 1, 2);
-    const LearnedScoreIndex learned(t, 0, 1, 2);
-
-    // Sorted access: identical rank order, bit for bit.
-    ASSERT_EQ(exact.size(), learned.size());
-    for (std::size_t r = 0; r < exact.size(); ++r) {
-      const ScoredTuple& a = exact.by_rank(r);
-      const ScoredTuple& b = learned.by_rank(r);
-      ASSERT_EQ(a.key, b.key) << "rank " << r;
-      ASSERT_EQ(testing::bits(a.score), testing::bits(b.score)) << "rank " << r;
-      ASSERT_EQ(testing::bits(a.payload), testing::bits(b.payload));
-      ASSERT_EQ(a.row, b.row);
-    }
-
-    // Random access: identical rank runs for hits and misses alike, and
-    // the probe cost obeys the error-bound contract.
-    RmiProbeCost cost;
-    for (const std::uint64_t key : probe_keys_for(t, seed)) {
-      const auto er = exact.ranks_for_key(key);
-      const auto lr = learned.ranks_for_key(key, &cost);
-      ASSERT_EQ(std::vector<std::uint32_t>(er.begin(), er.end()),
-                std::vector<std::uint32_t>(lr.begin(), lr.end()))
-          << "key " << key;
-      ASSERT_EQ(testing::bits(exact.best_score_for_key(key)),
-                testing::bits(learned.best_score_for_key(key)))
-          << "key " << key;
-    }
-    EXPECT_LE(cost.observed_error, cost.advertised_error);
-    // With mostly-distinct keys the learned layer undercuts the hash
-    // map's per-key freight. (Massive duplication shrinks the map far
-    // below the sorted arrays instead — no size claim there.)
-    if (t.num_rows() >= 64 &&
-        (dist == KeyDist::kUniform || dist == KeyDist::kExponential))
-      EXPECT_LT(learned.byte_size(), exact.byte_size());
-  }
-}
-
-TEST_P(LearnedScoreDiff, EmptyTableIsHandled) {
-  const Table t = adversarial_scored_table(KeyDist::kEmpty, 0, 1);
-  const LearnedScoreIndex learned(t, 0, 1, 2);
-  EXPECT_TRUE(learned.empty());
-  EXPECT_TRUE(learned.ranks_for_key(7).empty());
-  EXPECT_EQ(learned.best_score_for_key(7),
-            -std::numeric_limits<double>::infinity());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDistributions, LearnedScoreDiff,
-                         ::testing::Values(KeyDist::kUniform,
-                                           KeyDist::kConstant,
-                                           KeyDist::kExponential,
-                                           KeyDist::kHeavyDup,
-                                           KeyDist::kSingleton),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
-TEST(LearnedScoreIndex, ThreadCountByteIdentity) {
-  // The chaos token pins the dataset; one log line is a complete repro.
-  const std::uint64_t seed = chaos_seed_from_env(4242);
-  SCOPED_TRACE("repro: SEA_CHAOS_SEED=" + std::to_string(seed));
-  const Table t = make_scored_relation(60'000, 5'000, /*key_skew=*/1.1, seed);
-  set_configured_threads(1);
-  const LearnedScoreIndex serial(t, 0, 1, 2);
-  set_configured_threads(8);
-  const LearnedScoreIndex parallel(t, 0, 1, 2);
-  set_configured_threads(0);  // back to the environment default
-  EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
-}
 
 // ---------------------------------------------------------------------------
 // LearnedGrid vs GridIndex vs brute force.
@@ -390,35 +229,6 @@ TEST(LearnedParadigm, ServedAnalyticsBootstrapsThroughLearnedGrid) {
     EXPECT_DOUBLE_EQ(a.value, testing::brute_force_answer(t, q));
   }
   EXPECT_EQ(served.stats().exact_answered, 10u);
-}
-
-TEST(LearnedParadigm, RankJoinLearnedMatchesExactAndMapReduce) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const Table r = make_scored_relation(3000, 200, 1.2, seed);
-    const Table s = make_scored_relation(3000, 200, 1.2, seed + 1000);
-    Cluster c(4, Network::single_zone(4));
-    c.load_table("r", r);
-    c.load_table("s", s);
-    RankJoinSpec spec;
-    spec.table_r = "r";
-    spec.table_s = "s";
-    spec.k = 10;
-    invalidate_rank_join_indexes();
-    const auto mr = rank_join_mapreduce(c, spec);
-    const auto exact = rank_join_surgical(c, spec);
-    spec.use_learned_index = true;
-    const auto learned = rank_join_surgical(c, spec);
-    // Tuple-for-tuple: same keys, same scores, same order.
-    ASSERT_EQ(learned.topk, exact.topk);
-    ASSERT_EQ(learned.topk, mr.topk);
-    // The learned path consumes the identical sorted-access prefix and
-    // issues the identical probes — it is the same algorithm, only the
-    // random-access structure differs.
-    EXPECT_EQ(learned.r_tuples_consumed, exact.r_tuples_consumed);
-    EXPECT_EQ(learned.s_probes, exact.s_probes);
-  }
-  invalidate_rank_join_indexes();
 }
 
 }  // namespace

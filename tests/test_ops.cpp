@@ -1,4 +1,4 @@
-// Tests: big-data-less operators — rank-join, imputation, spatial join.
+// Tests: big-data-less operators — rank-join, imputation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,7 +6,6 @@
 
 #include "ops/imputation.h"
 #include "ops/rank_join.h"
-#include "ops/spatial.h"
 #include "test_util.h"
 
 namespace sea {
@@ -249,69 +248,6 @@ TEST(Imputation, NoFeaturesThrows) {
   spec.table = "t";
   spec.target_col = 2;
   EXPECT_THROW(impute_indexed(c, spec), std::invalid_argument);
-}
-
-struct SpatialFixture : public ::testing::Test {
-  Table a = small_dataset(1500, 2, 101);
-  Table b = small_dataset(1500, 2, 102);
-  Cluster cluster{4, Network::single_zone(4)};
-  SpatialJoinSpec spec;
-
-  void SetUp() override {
-    cluster.load_table("A", a);
-    cluster.load_table("B", b);
-    spec.table_a = "A";
-    spec.table_b = "B";
-    spec.cols_a = {0, 1};
-    spec.cols_b = {0, 1};
-    spec.eps = 0.02;
-  }
-
-  std::uint64_t brute_pairs() const {
-    std::uint64_t n = 0;
-    const double eps2 = spec.eps * spec.eps;
-    Point pa, pb;
-    for (std::size_t i = 0; i < a.num_rows(); ++i) {
-      a.gather(i, spec.cols_a, pa);
-      for (std::size_t j = 0; j < b.num_rows(); ++j) {
-        b.gather(j, spec.cols_b, pb);
-        if (squared_distance(pa, pb) <= eps2) ++n;
-      }
-    }
-    return n;
-  }
-};
-
-TEST_F(SpatialFixture, BroadcastMatchesBruteForce) {
-  EXPECT_EQ(spatial_join_broadcast(cluster, spec).pairs, brute_pairs());
-}
-
-TEST_F(SpatialFixture, PartitionedMatchesBruteForce) {
-  EXPECT_EQ(spatial_join_partitioned(cluster, spec).pairs, brute_pairs());
-}
-
-TEST_F(SpatialFixture, PartitionedShipsFarFewerBytes) {
-  const auto bcast = spatial_join_broadcast(cluster, spec);
-  const auto part = spatial_join_partitioned(cluster, spec);
-  EXPECT_LT(part.report.shuffle_bytes, bcast.report.shuffle_bytes / 2);
-}
-
-TEST_F(SpatialFixture, SamplePairsAreValid) {
-  const auto out = spatial_join_partitioned(cluster, spec);
-  for (const auto& p : out.sample) {
-    EXPECT_LE(p.distance, spec.eps + 1e-12);
-    EXPECT_NEAR(p.distance, euclidean_distance(p.a, p.b), 1e-9);
-  }
-}
-
-TEST_F(SpatialFixture, InvalidSpecThrows) {
-  SpatialJoinSpec bad = spec;
-  bad.eps = 0.0;
-  EXPECT_THROW(spatial_join_broadcast(cluster, bad), std::invalid_argument);
-  bad = spec;
-  bad.cols_b = {0};
-  EXPECT_THROW(spatial_join_partitioned(cluster, bad),
-               std::invalid_argument);
 }
 
 }  // namespace

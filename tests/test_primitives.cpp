@@ -115,8 +115,9 @@ TEST(ReduceAdd, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Minmax, MatchesStdMinmaxAndHandlesEmpty) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(par::minmax(std::span<const double>{}),
-            (std::pair<double, double>{0.0, 0.0}));
+            (std::pair<double, double>{kInf, -kInf}));
   for (const std::size_t n : {std::size_t{1}, std::size_t{4097}}) {
     const auto v = random_doubles(n, 17 + n);
     const auto [lo, hi] = par::minmax(v);
@@ -124,6 +125,50 @@ TEST(Minmax, MatchesStdMinmaxAndHandlesEmpty) {
     EXPECT_EQ(lo, *it_lo);
     EXPECT_EQ(hi, *it_hi);
   }
+}
+
+// A NaN at every block start (the first element included) is skipped like
+// any other NaN: par::minmax equals a serial NaN-skipping scan, and the
+// first-seen zero's sign wins on both ends, at any thread count. An
+// all-NaN span has no extremes: {+inf, -inf}.
+TEST(Minmax, SkipsNaNAtBlockStartsAndKeepsFirstSeenZero) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto serial = [&](std::span<const double> v) {
+    std::pair<double, double> mm{kInf, -kInf};
+    for (const double x : v) {
+      if (x < mm.first) mm.first = x;
+      if (x > mm.second) mm.second = x;
+    }
+    return mm;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{3}, std::size_t{50000}}) {
+    for (const double sign : {1.0, -1.0}) {
+      // Same-signed values, so the extreme at the zero end is a zero.
+      auto v = random_doubles(n, 31 + n);
+      for (auto& x : v) x = sign * std::abs(x);
+      if (n > 2) {
+        v[n / 3] = -0.0;
+        v[2 * n / 3] = 0.0;
+      }
+      const par::BlockPlan p = par::plan(n);
+      for (std::size_t b = 0; b < p.blocks; ++b) v[p.begin(b)] = kNaN;
+      const auto want = serial(v);
+      for (const std::size_t threads : {0, 8}) {
+        const auto got = with_threads(threads, [&] { return par::minmax(v); });
+        EXPECT_EQ(bits(got.first), bits(want.first)) << n << " " << threads;
+        EXPECT_EQ(bits(got.second), bits(want.second)) << n << " " << threads;
+      }
+      if (n > 2) {
+        EXPECT_EQ(sign > 0 ? bits(want.first) : bits(want.second),
+                  bits(-0.0));
+      }
+    }
+  }
+  const std::vector<double> all_nan(5000, kNaN);
+  EXPECT_EQ(par::minmax(all_nan), (std::pair<double, double>{kInf, -kInf}));
 }
 
 // --- scan_exclusive ---
@@ -405,35 +450,6 @@ TEST(PrimitiveProperties, HundredSeedSweepAgainstNaiveReferences) {
 
 // --- columnar kernels ---
 
-TEST(ColumnarKernels, SelectionMatchesRowScanAndIsAscending) {
-  const Table table = make_clustered_dataset(20000, 3, 3, 71);
-  const std::vector<std::size_t> cols = {0, 1};
-  Rect rect = table_bounds(table, cols);
-  for (std::size_t i = 0; i < rect.lo.size(); ++i) {
-    const double w = rect.hi[i] - rect.lo[i];
-    rect.lo[i] += 0.3 * w;
-    rect.hi[i] -= 0.3 * w;
-  }
-  const Ball ball{{rect.lo[0], rect.lo[1]}, 0.2};
-
-  std::vector<std::uint32_t> sel_range, sel_ball;
-  select_range(table, cols, rect, sel_range);
-  select_ball(table, cols, ball, sel_ball);
-  EXPECT_TRUE(std::is_sorted(sel_range.begin(), sel_range.end()));
-  EXPECT_TRUE(std::is_sorted(sel_ball.begin(), sel_ball.end()));
-
-  std::vector<std::uint32_t> want_range, want_ball;
-  Point p;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    table.gather(r, cols, p);
-    if (rect.contains(p)) want_range.push_back(static_cast<std::uint32_t>(r));
-    if (ball.contains(p)) want_ball.push_back(static_cast<std::uint32_t>(r));
-  }
-  EXPECT_EQ(sel_range, want_range);
-  EXPECT_EQ(sel_ball, want_ball);
-  EXPECT_FALSE(sel_range.empty());  // the shrunken box still selects rows
-}
-
 /// Naive branchy references for the fused scans: one gathered row at a
 /// time, the row scan's own predicates, and kNN by a full sort.
 struct NaiveScan {
@@ -487,6 +503,38 @@ struct BlockCollector {
   }
 };
 
+TEST(ColumnarKernels, SelectionMatchesRowScanAndIsAscending) {
+  const Table table = make_clustered_dataset(20000, 3, 3, 71);
+  const std::vector<std::size_t> cols = {0, 1};
+  Rect rect = table_bounds(table, cols);
+  for (std::size_t i = 0; i < rect.lo.size(); ++i) {
+    const double w = rect.hi[i] - rect.lo[i];
+    rect.lo[i] += 0.3 * w;
+    rect.hi[i] -= 0.3 * w;
+  }
+  const Ball ball{{rect.lo[0], rect.lo[1]}, 0.2};
+
+  BlockCollector range, ball_ids;
+  visit_range(table, cols, rect, range);
+  visit_ball(table, cols, ball, ball_ids);
+  EXPECT_TRUE(range.ok && ball_ids.ok);
+
+  std::vector<std::uint32_t> want_range, want_ball;
+  Point p;
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    table.gather(r, cols, p);
+    if (rect.contains(p)) want_range.push_back(static_cast<std::uint32_t>(r));
+    if (ball.contains(p)) want_ball.push_back(static_cast<std::uint32_t>(r));
+  }
+  EXPECT_EQ(range.ids, want_range);
+  EXPECT_EQ(ball_ids.ids, want_ball);
+  EXPECT_FALSE(range.ids.empty());  // the shrunken box still selects rows
+  EXPECT_THROW(visit_range(table, std::vector<std::size_t>{0}, rect, range),
+               std::invalid_argument);
+  EXPECT_THROW(visit_ball(table, std::vector<std::size_t>{0}, ball, ball_ids),
+               std::invalid_argument);
+}
+
 bool same_nearest(const std::vector<NearRow>& a,
                   const std::vector<NearRow>& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
@@ -526,17 +574,12 @@ TEST_P(ColumnarScanDiff, ScansMatchBranchyRowScan) {
         BlockCollector range, ball;
         visit_range(table, cols, g.rect, range);
         visit_ball(table, cols, g.ball, ball);
-        std::vector<std::uint32_t> sel_range, sel_ball;
-        select_range(table, cols, g.rect, sel_range);
-        select_ball(table, cols, g.ball, sel_ball);
         std::vector<NearRow> nearest;
         nearest_rows(table, cols, g.center, g.k, nearest);
         set_configured_threads(0);
         EXPECT_TRUE(range.ok && ball.ok) << threads;
         EXPECT_EQ(range.ids, want.range) << threads;
         EXPECT_EQ(ball.ids, want.ball) << threads;
-        EXPECT_EQ(sel_range, want.range) << threads;
-        EXPECT_EQ(sel_ball, want.ball) << threads;
         EXPECT_TRUE(same_nearest(nearest, want.nearest)) << threads;
       }
     }
@@ -575,20 +618,46 @@ TEST(ColumnarKernels, NearestRowsRankNaNDistancesLast) {
                std::invalid_argument);
 }
 
+// A fold over visit_range's blocks adds the selected values in row order:
+// bit-equal to a serial left fold over the row scan's selection, at any
+// thread count.
 TEST(ColumnarKernels, AggregateColumnThreadInvariantAndNearNaive) {
-  const auto col = random_doubles(60000, 79);
-  std::vector<std::uint32_t> sel;
-  for (std::uint32_t r = 0; r < col.size(); r += 3) sel.push_back(r);
-  const auto run = [&] { return aggregate_column(col, sel); };
-  const auto serial = with_threads(0, run);
-  const auto pooled = with_threads(8, run);
-  EXPECT_EQ(serial.count, pooled.count);
-  EXPECT_EQ(serial.sum, pooled.sum);        // bitwise
-  EXPECT_EQ(serial.sum_sq, pooled.sum_sq);  // bitwise
-  double want_sum = 0.0;
-  for (const auto r : sel) want_sum += col[r];
-  EXPECT_EQ(serial.count, sel.size());
-  EXPECT_NEAR(serial.sum, want_sum, 1e-9 * std::max(1.0, std::abs(want_sum)));
+  const auto vals = random_doubles(60000, 79);
+  const Table table = Table::from_columns(Schema({"x"}), {vals});
+  const std::vector<std::size_t> cols{0};
+  const Rect rect{{0.1}, {0.7}};
+  struct Sums {
+    std::uint64_t count = 0;
+    double sum = 0.0, sum_sq = 0.0;
+  };
+  const auto run = [&] {
+    Sums a;
+    visit_range(table, cols, rect, [&](std::span<const std::uint32_t> ids) {
+      for (const std::uint32_t r : ids) {
+        ++a.count;
+        a.sum += vals[r];
+        a.sum_sq += vals[r] * vals[r];
+      }
+    });
+    return a;
+  };
+  const Sums serial = with_threads(0, run);
+  const Sums pooled = with_threads(8, run);
+  Sums want;
+  for (const double v : vals) {
+    if (!(v >= 0.1 && v <= 0.7)) continue;
+    ++want.count;
+    want.sum += v;
+    want.sum_sq += v * v;
+  }
+  ASSERT_GT(want.count, 0u);
+  for (const Sums& got : {serial, pooled}) {
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum),
+              std::bit_cast<std::uint64_t>(want.sum));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sum_sq),
+              std::bit_cast<std::uint64_t>(want.sum_sq));
+  }
 }
 
 // --- bulk columnar Table construction ---

@@ -218,51 +218,11 @@ TEST(SeedSweep, ConservationAnswersAndSpanTreesHoldOnEverySeed) {
 }
 
 // ---------------------------------------------------------------------------
-// Learned-index invariants, swept over the same seed count. These are the
+// Grid-index invariants, swept over the same seed count. These are the
 // structural guarantees the differential suite's exactness proofs lean on,
 // checked directly so a violation names the broken invariant instead of
 // surfacing as a distant wrong answer.
 // ---------------------------------------------------------------------------
-
-TEST(IndexInvariantSweep, RmiSegmentBoundsCoverObservedErrorOnEverySeed) {
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed * 31 + 7);
-    std::vector<double> keys(1 + rng.uniform_index(2000));
-    const int mode = static_cast<int>(seed % 3);
-    for (auto& k : keys)
-      k = mode == 0   ? static_cast<double>(rng.uniform_index(1u << 18))
-          : mode == 1 ? std::floor(std::exp(rng.uniform(0.0, 12.0)))
-                      : static_cast<double>(rng.uniform_index(4));
-    std::sort(keys.begin(), keys.end());
-    RmiModel m;
-    m.fit(keys);
-
-    // Segments partition [0, n): contiguous, ordered, nothing dropped.
-    std::size_t expect_begin = 0;
-    for (std::size_t s = 0; s < m.num_segments(); ++s) {
-      const RmiSegment& seg = m.segment(s);
-      ASSERT_EQ(seg.begin, expect_begin) << "segment " << s;
-      ASSERT_LE(seg.begin, seg.end);
-      expect_begin = seg.end;
-    }
-    ASSERT_EQ(expect_begin, keys.size());
-
-    // Advertised per-segment bound >= observed error at every trained
-    // key, and the global max_error is the max over segments.
-    std::uint32_t worst = 0;
-    for (const double k : keys) {
-      const auto w = m.locate(k);
-      const auto truth = static_cast<std::size_t>(
-          std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
-      const std::size_t observed =
-          truth > w.pred ? truth - w.pred : w.pred - truth;
-      ASSERT_LE(observed, m.segment(w.seg).err) << "key=" << k;
-      worst = std::max(worst, m.segment(w.seg).err);
-    }
-    EXPECT_LE(worst, m.max_error());
-  }
-}
 
 TEST(IndexInvariantSweep, GridCellTablesAreValidCsrOnEverySeed) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
