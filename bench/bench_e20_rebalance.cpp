@@ -9,10 +9,11 @@
 // storage faults on the crash node, corrupt migration frames — while one
 // knob sweeps: the offered-load spike multiplier. Each point runs twice
 // on the *same* schedule: rebalancer off (placement frozen at the seed's
-// deal) and on (split/move/merge planned from backlog pressure, throttled
-// by the migration window budget). The sweep reports the trade the
-// rebalancer buys: fewer shed queries and more owner serves at every
-// spike, paid for with a bounded number of epoch-fenced live migrations —
+// deal) and on (splits and moves planned from backlog pressure, throttled
+// by the migration window budget; the rebalancer's calm-period merge
+// branch commits no merge in any row, so merges_committed stays 0). The
+// sweep reports the trade the rebalancer buys: fewer shed queries and
+// more owner serves at every spike, paid for with a bounded number of epoch-fenced live migrations —
 // while both arms keep the safety invariants (0 lost queries, 0
 // dual-serves, 0 stale-epoch serves) by construction. There is no latency
 // column: the shedder caps every holder's backlog at shed_backlog_ms, so

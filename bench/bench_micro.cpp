@@ -22,6 +22,7 @@
 #include "common/timer.h"
 #include "data/columnar.h"
 #include "data/generator.h"
+#include "gbm_reference.h"
 #include "exec/mapreduce.h"
 #include "index/bloom.h"
 #include "index/grid.h"
@@ -526,6 +527,44 @@ AggregateState mr_map_naive(const MrMapBench& b) {
     }
   }
   return total;
+}
+
+// ---------------------------------------------------------------------------
+// One per-quantum GBM refit (DatalessAgent::quantum_gbm_params: 60 trees,
+// depth 3, min_leaf 3, 32 thresholds) on 5 features, the shape of a range
+// query's model features. The fast fit (presorted one-pass split search)
+// is timed against the old per-node sort and per-threshold rescan
+// (gbm_reference.h); both must predict bit-identically at every row.
+// ---------------------------------------------------------------------------
+
+struct GbmFitBench {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+};
+
+GbmFitBench make_gbm_fit_bench(std::size_t rows) {
+  Rng rng(rows + 29);
+  GbmFitBench b;
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::vector<double> row(5);
+    for (auto& v : row) v = rng.uniform();
+    b.y.push_back(1000.0 * row[2] * row[3] * (1.0 + std::sin(6.0 * row[0])) +
+                  rng.normal(0.0, 5.0));
+    b.x.push_back(std::move(row));
+  }
+  return b;
+}
+
+/// Fits the per-quantum GBM with `Model` (GbmRegressor or the reference)
+/// and returns the bits of its prediction at every training row.
+template <typename Model>
+std::vector<std::uint64_t> gbm_fit_predictions(const GbmFitBench& b) {
+  Model m(DatalessAgent::quantum_gbm_params());
+  m.fit(b.x, b.y);
+  std::vector<std::uint64_t> out;
+  for (const auto& row : b.x)
+    out.push_back(std::bit_cast<std::uint64_t>(m.predict(row)));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1227,6 +1266,42 @@ int run_perf_smoke() {
             AnalyticType::kAvg);
     mr_gate("mr_map_knn_sum", 0.0, SelectionType::kNearestNeighbors,
             AnalyticType::kSum);
+  }
+
+  // GBM refit gates: one per-quantum fit at 63 and at 512 rows. The fast
+  // fit must predict bit-identically to the reference fit at every row and
+  // beat it by the given factor (measured 4.4-5x and 6-7x on a shared
+  // 4-vCPU host).
+  {
+    constexpr std::size_t kGbmReps = 9;
+    const auto gbm_gate = [&](std::size_t rows, double min_speedup) {
+      const GbmFitBench b = make_gbm_fit_bench(rows);
+      std::vector<std::uint64_t> f, g;
+      const double fast_ms = best_of_ms(
+          kGbmReps, [&] { f = gbm_fit_predictions<GbmRegressor>(b); });
+      const double ref_ms = best_of_ms(kGbmReps, [&] {
+        g = gbm_fit_predictions<reference::GbmReference>(b);
+      });
+      const bool same = f == g;
+      const double speedup = fast_ms > 0.0 ? ref_ms / fast_ms : 0.0;
+      const bool pass = same && speedup >= min_speedup;
+      const std::string name = "gbm_fit_" + std::to_string(rows);
+      json.begin("smoke_" + name);
+      json.num("rows", static_cast<std::uint64_t>(rows));
+      json.num("fast_ms", fast_ms);
+      json.num("reference_ms", ref_ms);
+      json.num("speedup", speedup);
+      json.num("min_speedup", min_speedup);
+      json.num("answers_match", std::uint64_t{same ? 1u : 0u});
+      json.num("pass", std::uint64_t{pass ? 1u : 0u});
+      std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (reference/fast, "
+                  "gate >= %.1fx)\n",
+                  name.c_str(), fast_ms, "-", ref_ms, speedup,
+                  pass ? "ok" : "FAIL", min_speedup);
+      if (!pass) ok = false;
+    };
+    gbm_gate(63, 3.0);
+    gbm_gate(512, 4.0);
   }
 
   set_configured_threads(0);

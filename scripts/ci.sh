@@ -49,8 +49,10 @@ run_preset default
 # id-materializing probes, and the MapReduce map tasks of explore_100k's three
 # query shapes (mr_map_range_count, mr_map_radius_avg gated on byte-equal
 # states and speedup over a branchy row loop; mr_map_knn_sum's ratio
-# recorded) — relative checks, never absolute ms thresholds, so the stage is
-# stable on any host. Writes BENCH_micro.json as the machine-readable perf
+# recorded), and one per-quantum GBM fit at 63 and 512 rows (gbm_fit_63,
+# gbm_fit_512: bit-equal predictions to bench/gbm_reference.h's per-node
+# sort and rescan, and >= 3x / >= 4x faster) — relative checks, never
+# absolute ms thresholds, so the stage is stable on any host. Writes BENCH_micro.json as the machine-readable perf
 # record.
 echo "=== [default] perf-smoke (bench_micro --perf-smoke) ==="
 cmake --build --preset default -j "${jobs}" --target bench_micro

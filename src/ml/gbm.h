@@ -35,7 +35,8 @@ class GbmRegressor {
 
   /// Fits y ~ X from scratch (drops any previous ensemble). `rng` drives
   /// per-tree row subsampling when params.subsample < 1.0; ignored (and may
-  /// be null) otherwise.
+  /// be null) otherwise. A NaN feature value satisfies no split threshold,
+  /// so its row always goes right.
   void fit(std::span<const std::vector<double>> x, std::span<const double> y,
            Rng* rng = nullptr);
 
@@ -57,10 +58,14 @@ class GbmRegressor {
     double value = 0.0;  ///< leaf prediction
   };
   using Tree = std::vector<Node>;
+  /// Per-fit columns, presorted feature orders and split-search buffers
+  /// (gbm.cpp).
+  struct FitScratch;
+  /// Reads trees_ node for node (tests/test_ml.cpp).
+  friend struct GbmTestAccess;
 
   std::int32_t build_node(Tree& tree, std::vector<std::size_t>& idx,
-                          std::size_t begin, std::size_t end,
-                          std::span<const std::vector<double>> x,
+                          std::size_t begin, std::size_t end, FitScratch& s,
                           const std::vector<double>& residual,
                           std::size_t depth);
   static double tree_predict(const Tree& tree, std::span<const double> x);

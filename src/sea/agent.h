@@ -172,6 +172,16 @@ class DatalessAgent {
   const AgentStats& stats() const noexcept { return stats_; }
   const AgentConfig& config() const noexcept { return config_; }
 
+  /// The per-quantum GBM configuration (shared by refit and deserialize;
+  /// bench_micro times fits with it).
+  static GbmParams quantum_gbm_params() noexcept {
+    GbmParams params;
+    params.num_trees = 60;
+    params.max_depth = 3;
+    params.min_leaf = 3;
+    return params;
+  }
+
   /// Number of quanta for a signature (0 when unseen).
   std::size_t num_quanta(const std::string& signature) const;
   std::size_t num_signatures() const noexcept { return signatures_.size(); }
@@ -240,15 +250,6 @@ class DatalessAgent {
         : quantizer(cfg.max_quanta, cfg.create_distance),
           domain(std::move(dom)) {}
   };
-
-  /// The per-quantum GBM configuration (shared by refit and deserialize).
-  static GbmParams quantum_gbm_params() noexcept {
-    GbmParams params;
-    params.num_trees = 60;
-    params.max_depth = 3;
-    params.min_leaf = 3;
-    return params;
-  }
 
   /// Seed of a quantum's private RNG stream: a pure function of the root
   /// seed and the quantum id, so any worker (or a deserialized replica)

@@ -2,17 +2,29 @@
 // drift detectors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.h"
+#include "gbm_reference.h"
 #include "ml/drift.h"
 #include "ml/gbm.h"
 #include "ml/kmeans.h"
 #include "ml/knn_model.h"
 #include "ml/linear.h"
 #include "ml/matrix.h"
+#include "sea/agent.h"
 
 namespace sea {
+
+// Test-only view of a fitted GbmRegressor's trees, node for node.
+struct GbmTestAccess {
+  static const auto& trees(const GbmRegressor& m) { return m.trees_; }
+};
+
 namespace {
 
 TEST(Cholesky, SolvesKnownSystem) {
@@ -264,6 +276,271 @@ TEST(Gbm, ConstantTargetShortCircuits) {
 TEST(Gbm, PredictBeforeFitThrows) {
   GbmRegressor m;
   EXPECT_THROW(m.predict(std::vector<double>{1.0}), std::logic_error);
+}
+
+// --- GbmFitDiff: the presorted one-pass split search against the old
+// per-node sort and per-threshold rescan (bench/gbm_reference.h) ---
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct GbmCase {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  GbmParams params;
+};
+
+/// Features mix four kinds: continuous, duplicate-heavy (4 levels, one of
+/// them a randomly signed zero), constant (a mix of +0.0 and -0.0, which
+/// compare equal) and continuous with ~25% randomly signed zeros. The
+/// parameter combination cycles with the seed, so each (rows, dims) pair
+/// sees every max_thresholds x min_leaf x subsample combination.
+GbmCase make_gbm_case(std::uint64_t seed, std::size_t rows, std::size_t dims) {
+  Rng rng(seed * 1000003 + rows * 131 + dims);
+  const auto signed_zero = [&] { return rng.bernoulli(0.5) ? 0.0 : -0.0; };
+  std::vector<std::size_t> kind(dims);
+  for (auto& k : kind) k = rng.uniform_index(4);
+  GbmCase c;
+  c.x.assign(rows, std::vector<double>(dims));
+  const bool levelled_y = rng.bernoulli(0.25);
+  for (std::size_t i = 0; i < rows; ++i) {
+    double y = rng.normal(0.0, 0.1);
+    for (std::size_t f = 0; f < dims; ++f) {
+      double& v = c.x[i][f];
+      switch (kind[f]) {
+        case 0: v = rng.uniform(-1.0, 1.0); break;
+        case 1: {
+          const double levels[] = {-1.0, signed_zero(), 0.5, 2.0};
+          v = levels[rng.uniform_index(4)];
+          break;
+        }
+        case 2: v = signed_zero(); break;
+        default: v = rng.bernoulli(0.25) ? signed_zero() : rng.normal(); break;
+      }
+      const double term = f % 2 == 0 ? std::sin(3.0 * v) : v * v;
+      y += term / static_cast<double>(f + 1);
+    }
+    c.y.push_back(levelled_y ? std::round(4.0 * y) / 4.0 : y);
+  }
+  const std::size_t combo = (seed + rows + dims) % 24;
+  const std::size_t thresholds[] = {1, 7, 32, 64};
+  const std::size_t min_leaf[] = {1, 3, 4};
+  c.params.num_trees = 6;
+  c.params.max_depth = 2 + seed % 3;
+  c.params.learning_rate = seed % 2 == 0 ? 0.1 : 0.3;
+  c.params.max_thresholds = thresholds[combo % 4];
+  c.params.min_leaf = min_leaf[(combo / 4) % 3];
+  c.params.subsample = combo < 12 ? 1.0 : 0.7;
+  return c;
+}
+
+/// Fits both implementations from same-seed streams and requires identical
+/// trees (children, feature, leaf-value and threshold bits), bitwise-equal
+/// predictions at every training row and the same stream position after.
+/// A zero threshold may differ in sign only: the old per-node std::sort
+/// leaves +0.0/-0.0 in an unspecified order, and x <= +0.0 equals
+/// x <= -0.0 for every x, which the partition check below confirms.
+/// Returns the number of such zero-sign differences.
+std::size_t expect_same_fit(const GbmCase& c, std::uint64_t stream) {
+  Rng rng_fast(stream), rng_ref(stream);
+  GbmRegressor fast(c.params);
+  reference::GbmReference ref(c.params);
+  fast.fit(c.x, c.y, &rng_fast);
+  ref.fit(c.x, c.y, &rng_ref);
+  EXPECT_EQ(rng_fast.next_u64(), rng_ref.next_u64());
+  const auto& ft = GbmTestAccess::trees(fast);
+  const auto& rt = ref.trees();
+  std::size_t zero_sign = 0;
+  EXPECT_EQ(ft.size(), rt.size());
+  if (ft.size() != rt.size()) return zero_sign;
+  for (std::size_t t = 0; t < ft.size(); ++t) {
+    EXPECT_EQ(ft[t].size(), rt[t].size()) << "tree " << t;
+    if (ft[t].size() != rt[t].size()) return zero_sign;
+    for (std::size_t k = 0; k < ft[t].size(); ++k) {
+      const auto& a = ft[t][k];
+      const auto& b = rt[t][k];
+      EXPECT_EQ(a.left, b.left) << "tree " << t << " node " << k;
+      EXPECT_EQ(a.right, b.right) << "tree " << t << " node " << k;
+      EXPECT_EQ(a.feature, b.feature) << "tree " << t << " node " << k;
+      EXPECT_EQ(bits(a.value), bits(b.value)) << "tree " << t << " node " << k;
+      if (bits(a.threshold) == bits(b.threshold)) continue;
+      EXPECT_TRUE(a.threshold == 0.0 && b.threshold == 0.0)
+          << "tree " << t << " node " << k << ": " << a.threshold << " vs "
+          << b.threshold;
+      ++zero_sign;
+      for (const auto& row : c.x)
+        EXPECT_EQ(row[a.feature] <= a.threshold, row[b.feature] <= b.threshold);
+    }
+  }
+  for (std::size_t i = 0; i < c.x.size(); ++i)
+    EXPECT_EQ(bits(fast.predict(c.x[i])), bits(ref.predict(c.x[i])))
+        << "row " << i;
+  return zero_sign;
+}
+
+class GbmFitDiff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GbmFitDiff, TreesAndPredictionsBitIdenticalToReference) {
+  const std::size_t rows = GetParam();
+  std::size_t zero_sign = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed)
+    for (std::size_t dims = 1; dims <= 8; ++dims) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " rows " << rows << " dims " << dims);
+      zero_sign += expect_same_fit(make_gbm_case(seed, rows, dims), seed + 1);
+      if (HasFailure()) return;
+    }
+  RecordProperty("zero_sign_thresholds", static_cast<int>(zero_sign));
+}
+
+// The per-quantum configuration the agent refits with (60 trees, depth 3,
+// min_leaf 3, 32 thresholds, no subsampling) on 5 continuous features.
+TEST_P(GbmFitDiff, QuantumParamsBitIdenticalToReference) {
+  const std::size_t rows = GetParam();
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed + 77);
+    GbmCase c;
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::vector<double> row(5);
+      for (auto& v : row) v = rng.uniform();
+      c.y.push_back(std::sin(6.0 * row[0]) + row[1] * row[2] +
+                    rng.normal(0.0, 0.05));
+      c.x.push_back(std::move(row));
+    }
+    c.params = DatalessAgent::quantum_gbm_params();
+    expect_same_fit(c, seed);
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, GbmFitDiff,
+                         ::testing::Values(8, 9, 31, 63, 64, 200, 512));
+
+// A NaN feature value satisfies no threshold (x <= thr is false), so it
+// routes like +inf; thresholds come from non-NaN values only, and a column
+// with fewer than two distinct non-NaN values is never split on.
+TEST(Gbm, NanFeaturesAreDeterministicAndRouteRight) {
+  Rng rng(21);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const double a = rng.uniform();
+    const double b = rng.uniform();
+    y.push_back((a > 0.5 ? 3.0 : 0.0) + b);
+    x.push_back({rng.bernoulli(0.2) ? nan : a, i == 7 ? 0.25 : nan,
+                 rng.bernoulli(0.1) ? nan : b});
+  }
+  for (const double subsample : {1.0, 0.7}) {
+    SCOPED_TRACE(::testing::Message() << "subsample " << subsample);
+    GbmParams params;
+    params.num_trees = 30;
+    params.subsample = subsample;
+    Rng ra(5), rb(5);
+    GbmRegressor a(params), b(params);
+    a.fit(x, y, &ra);
+    b.fit(x, y, &rb);
+    ASSERT_GT(a.num_trees(), 0u);
+    const auto& ta = GbmTestAccess::trees(a);
+    const auto& tb = GbmTestAccess::trees(b);
+    ASSERT_EQ(ta.size(), tb.size());
+    bool split_any = false;
+    for (std::size_t t = 0; t < ta.size(); ++t) {
+      ASSERT_EQ(ta[t].size(), tb[t].size());
+      for (std::size_t k = 0; k < ta[t].size(); ++k) {
+        EXPECT_EQ(bits(ta[t][k].threshold), bits(tb[t][k].threshold));
+        EXPECT_EQ(bits(ta[t][k].value), bits(tb[t][k].value));
+        if (ta[t][k].left < 0) continue;
+        split_any = true;
+        EXPECT_NE(ta[t][k].feature, 1u);  // one non-NaN value: never split
+        EXPECT_FALSE(std::isnan(ta[t][k].threshold));
+      }
+    }
+    EXPECT_TRUE(split_any);
+    for (const auto& row : x) {
+      const double p = a.predict(row);
+      EXPECT_TRUE(std::isfinite(p));
+      EXPECT_EQ(bits(p), bits(b.predict(row)));
+      std::vector<double> inf_row = row;
+      for (auto& v : inf_row)
+        if (std::isnan(v)) v = std::numeric_limits<double>::infinity();
+      EXPECT_EQ(bits(p), bits(a.predict(inf_row)));
+    }
+  }
+}
+
+// The NaN rule at one node, against a brute-force stump: candidate
+// thresholds are the quantile positions of each feature's sorted non-NaN
+// values, and a threshold's left side is the rows with x <= thr, summed in
+// row order (NaN rows always go right).
+TEST(Gbm, NanRuleMatchesBruteForceStump) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed + 300);
+    const std::size_t rows = 40, dims = 3;
+    std::vector<std::vector<double>> x(rows, std::vector<double>(dims));
+    std::vector<double> y(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (auto& v : x[i]) v = rng.bernoulli(0.3) ? nan : rng.uniform();
+      y[i] = (std::isnan(x[i][0]) ? 2.0 : 5.0 * x[i][0]) + rng.normal(0.0, 0.1);
+    }
+    GbmParams params;
+    params.num_trees = 1;
+    params.max_depth = 1;
+    params.min_leaf = 3;
+    params.max_thresholds = 7;
+    GbmRegressor m(params);
+    m.fit(x, y);
+
+    double mean = 0.0;
+    for (const double v : y) mean += v;
+    mean /= static_cast<double>(rows);
+    std::vector<double> res(rows);
+    double sum = 0.0, sum_sq = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+      res[i] = y[i] - mean;
+      sum += res[i];
+      sum_sq += res[i] * res[i];
+    }
+    const double parent_sse = sum_sq - sum * sum / static_cast<double>(rows);
+    double best_gain = 1e-12, best_thr = 0.0;
+    std::uint32_t best_f = 0;
+    for (std::uint32_t f = 0; f < dims; ++f) {
+      std::vector<double> vals;
+      for (const auto& row : x)
+        if (!std::isnan(row[f])) vals.push_back(row[f]);
+      std::sort(vals.begin(), vals.end());
+      if (vals.size() < 2 || vals.front() == vals.back()) continue;
+      const std::size_t nv = vals.size();
+      const std::size_t steps = std::min(params.max_thresholds, nv - 1);
+      for (std::size_t s = 1; s <= steps; ++s) {
+        const double thr = vals[s * (nv - 1) / (steps + 1)];
+        double lsum = 0.0, lsq = 0.0;
+        std::size_t ln = 0;
+        for (std::size_t i = 0; i < rows; ++i)
+          if (x[i][f] <= thr) {
+            lsum += res[i];
+            lsq += res[i] * res[i];
+            ++ln;
+          }
+        const std::size_t rn = rows - ln;
+        if (ln < params.min_leaf || rn < params.min_leaf) continue;
+        const double rsum = sum - lsum, rsq = sum_sq - lsq;
+        const double gain = parent_sse - (lsq - lsum * lsum / ln) -
+                            (rsq - rsum * rsum / rn);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_f = f;
+          best_thr = thr;
+        }
+      }
+    }
+    const auto& tree = GbmTestAccess::trees(m).at(0);
+    ASSERT_EQ(tree.size(), 3u);
+    EXPECT_EQ(tree[0].feature, best_f);
+    EXPECT_EQ(bits(tree[0].threshold), bits(best_thr));
+  }
 }
 
 TEST(AdwinLite, DetectsShiftAndKeepsRecent) {
