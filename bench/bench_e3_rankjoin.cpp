@@ -2,10 +2,11 @@
 //
 // The paper reports "up to 6 orders of magnitude" improvements for the
 // index-based surgical approach. We sweep k and relation size and report
-// modelled makespan, bytes moved, and base rows touched for both, plus the
-// improvement factors. Absolute numbers differ from the authors' testbed;
-// the shape — surgical cost ~ O(prefix), MapReduce cost ~ O(|R|+|S|) — is
-// the reproduced result.
+// makespan (ExecReport::makespan_ms(): modelled overheads and network plus
+// timer-measured compute, hence the `(model+meas)` columns), bytes moved,
+// and base rows touched for both, plus the improvement factors. Absolute
+// numbers differ from the authors' testbed; the shape — surgical cost
+// ~ O(prefix), MapReduce cost ~ O(|R|+|S|) — is the reproduced result.
 #include "bench_util.h"
 
 #include "ops/rank_join.h"
@@ -17,9 +18,9 @@ void sweep_k() {
   banner("E3a: rank-join, k sweep (|R|=|S|=50k, 8 nodes)",
          "surgical TA consumes a tiny prefix of R; MapReduce always "
          "shuffles both relations ([30]: up to 6 orders of magnitude)");
-  row("%6s %14s %14s %12s %14s %14s %12s %10s %12s", "k", "mr_ms(model)",
-      "sur_ms(model)", "speedup", "mr_bytes", "sur_bytes", "bytes_ratio",
-      "r_prefix", "usd_ratio");
+  row("%6s %19s %19s %12s %14s %14s %12s %10s %12s", "k",
+      "mr_ms(model+meas)", "sur_ms(model+meas)", "speedup", "mr_bytes",
+      "sur_bytes", "bytes_ratio", "r_prefix", "usd_ratio");
 
   const Table r = make_scored_relation(50000, 500, 0.9, 31);
   const Table s = make_scored_relation(50000, 500, 0.9, 32);
@@ -41,7 +42,7 @@ void sweep_k() {
     const double sur_bytes = static_cast<double>(sur.report.shuffle_bytes +
                                                  sur.report.result_bytes);
     const CostRates rates;
-    row("%6zu %14.1f %14.2f %12.1f %14.0f %14.0f %12.1f %10llu %12.1f", k,
+    row("%6zu %19.1f %19.2f %12.1f %14.0f %14.0f %12.1f %10llu %12.1f", k,
         mr.report.makespan_ms(), sur.report.makespan_ms(),
         mr.report.makespan_ms() / std::max(1e-9, sur.report.makespan_ms()),
         mr_bytes, sur_bytes, mr_bytes / std::max(1.0, sur_bytes),
@@ -54,8 +55,8 @@ void sweep_k() {
 void sweep_size() {
   banner("E3b: rank-join, relation-size sweep (k=10)",
          "MapReduce cost grows with |R|+|S|; surgical cost stays ~flat");
-  row("%10s %14s %14s %12s %12s", "rows", "mr_ms(model)", "sur_ms(model)",
-      "speedup", "r_prefix");
+  row("%10s %19s %19s %12s %12s", "rows", "mr_ms(model+meas)",
+      "sur_ms(model+meas)", "speedup", "r_prefix");
   for (const std::size_t rows : {10000u, 30000u, 100000u}) {
     Cluster cluster(8, Network::single_zone(8));
     cluster.load_table("R", make_scored_relation(rows, 500, 0.9, 41));
@@ -68,7 +69,7 @@ void sweep_size() {
     const auto mr = rank_join_mapreduce(cluster, spec);
     rank_join_surgical(cluster, spec);
     const auto sur = rank_join_surgical(cluster, spec);
-    row("%10zu %14.1f %14.2f %12.1f %12llu", rows, mr.report.makespan_ms(),
+    row("%10zu %19.1f %19.2f %12.1f %12llu", rows, mr.report.makespan_ms(),
         sur.report.makespan_ms(),
         mr.report.makespan_ms() / std::max(1e-9, sur.report.makespan_ms()),
         static_cast<unsigned long long>(sur.r_tuples_consumed));
@@ -81,8 +82,8 @@ void sweep_skew() {
          "changes the trade-off)",
          "higher key skew = more matches per probe = earlier TA "
          "termination");
-  row("%8s %14s %14s %12s %12s %10s", "skew", "mr_ms(model)",
-      "sur_ms(model)", "speedup", "r_prefix", "s_probes");
+  row("%8s %19s %19s %12s %12s %10s", "skew", "mr_ms(model+meas)",
+      "sur_ms(model+meas)", "speedup", "r_prefix", "s_probes");
   for (const double skew : {0.2, 0.6, 1.0, 1.4}) {
     Cluster cluster(8, Network::single_zone(8));
     cluster.load_table("R", make_scored_relation(30000, 500, skew, 51));
@@ -95,7 +96,7 @@ void sweep_skew() {
     const auto mr = rank_join_mapreduce(cluster, spec);
     rank_join_surgical(cluster, spec);
     const auto sur = rank_join_surgical(cluster, spec);
-    row("%8.1f %14.1f %14.2f %12.1f %12llu %10llu", skew,
+    row("%8.1f %19.1f %19.2f %12.1f %12llu %10llu", skew,
         mr.report.makespan_ms(), sur.report.makespan_ms(),
         mr.report.makespan_ms() / std::max(1e-9, sur.report.makespan_ms()),
         static_cast<unsigned long long>(sur.r_tuples_consumed),

@@ -426,10 +426,11 @@ double median_splits_ms(const std::vector<SelectRecord2>& input,
 // MapReduce map tasks on explore_100k's table: 100k clustered 2-d rows
 // split round-robin over 8 nodes (8 x 12.5k), and that workload's three
 // query shapes — range COUNT, radius AVG(y), kNN SUM(y) — drawn around 8
-// sampled hotspots. The fused map (branch-free block scans folded per
-// block, a bounded kNN heap) runs against a naive branchy row loop over
-// the same column spans; both fold the same rows in the same order, so
-// the summed AggregateStates are byte-equal.
+// sampled hotspots. The fused map (the two-lane vector kernels of
+// data/columnar.h: COUNT in lane counters with no ids, folds over mask-driven
+// ids, a block-filtered kNN survivor buffer) runs against a naive branchy
+// row loop over the same column spans; both fold the same rows in the
+// same order, so the summed AggregateStates are byte-equal.
 // ---------------------------------------------------------------------------
 
 struct MrMapBench {
@@ -1225,10 +1226,11 @@ int run_perf_smoke() {
   }
 
   // MapReduce map gates: explore_100k's three query shapes on 8 x 12.5k
-  // partitions (32 queries each). The fused maps must fold byte-equal
-  // states to the branchy row loop; range COUNT and radius AVG must also
-  // beat it by the given factor (measured ~4.6x and ~1.7x on a shared
-  // 4-vCPU host). The kNN ratio is recorded, not gated.
+  // partitions (32 queries each). The vector maps must fold byte-equal
+  // states to the branchy row loop and beat it by the given factor: about
+  // 80% of the worst of five runs on a shared 4-vCPU host (range COUNT
+  // 9.5-13.5x, radius AVG 3.1-3.3x, kNN SUM 3.1-3.4x; kNN's 2.5x is the
+  // target its map was rebuilt for).
   {
     constexpr std::size_t kMrReps = 15;
     set_configured_threads(1);
@@ -1252,19 +1254,18 @@ int run_perf_smoke() {
       json.num("min_speedup", min_speedup);
       json.num("answers_match", std::uint64_t{same ? 1u : 0u});
       json.num("pass", std::uint64_t{pass ? 1u : 0u});
-      std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (naive/fused, %s, "
-                  "%llu tuples)\n",
+      std::printf("%-26s %10.2f %10s %10.2f %7.2f %6s  (naive/fused, gate "
+                  ">= %.1fx, %llu tuples)\n",
                   name, fused_ms, "-", naive_ms, speedup,
-                  pass ? "ok" : "FAIL",
-                  min_speedup > 0.0 ? "gated" : "recorded",
+                  pass ? "ok" : "FAIL", min_speedup,
                   static_cast<unsigned long long>(g.count));
       if (!pass) ok = false;
     };
-    mr_gate("mr_map_range_count", 2.5, SelectionType::kRange,
+    mr_gate("mr_map_range_count", 7.5, SelectionType::kRange,
             AnalyticType::kCount);
-    mr_gate("mr_map_radius_avg", 1.3, SelectionType::kRadius,
+    mr_gate("mr_map_radius_avg", 2.5, SelectionType::kRadius,
             AnalyticType::kAvg);
-    mr_gate("mr_map_knn_sum", 0.0, SelectionType::kNearestNeighbors,
+    mr_gate("mr_map_knn_sum", 2.5, SelectionType::kNearestNeighbors,
             AnalyticType::kSum);
   }
 

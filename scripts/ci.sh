@@ -47,9 +47,9 @@ run_preset default
 # 125k-record partition: byte-equal to std::nth_element and >= 1.5x faster),
 # and the fused k-d probes on byte-equal answers and their speedup over
 # id-materializing probes, and the MapReduce map tasks of explore_100k's three
-# query shapes (mr_map_range_count, mr_map_radius_avg gated on byte-equal
-# states and speedup over a branchy row loop; mr_map_knn_sum's ratio
-# recorded), and one per-quantum GBM fit at 63 and 512 rows (gbm_fit_63,
+# query shapes (mr_map_range_count, mr_map_radius_avg, mr_map_knn_sum gated
+# on byte-equal states and >= 7.5x / 2.5x / 2.5x speedup over a branchy row
+# loop), and one per-quantum GBM fit at 63 and 512 rows (gbm_fit_63,
 # gbm_fit_512: bit-equal predictions to bench/gbm_reference.h's per-node
 # sort and rescan, and >= 3x / >= 4x faster) — relative checks, never
 # absolute ms thresholds, so the stage is stable on any host. Writes BENCH_micro.json as the machine-readable perf

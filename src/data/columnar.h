@@ -3,27 +3,36 @@
 // The row-at-a-time alternative (Table::gather into a Point per row, then a
 // Rect/Ball predicate) pays one bounds-checked indirect load per (row,
 // column) and a data-dependent branch per row. These scans flip the loop:
-// column-at-a-time over fixed blocks of kScanBlock rows, refining a
-// block-local candidate list so each column's span is streamed
-// sequentially and rows failing an earlier column are never touched again.
+// column-at-a-time over fixed blocks of kScanBlock rows, so each column's
+// span is streamed sequentially.
 //
-// Branch-free compaction: a candidate's id is always written at the
-// cursor, and the cursor then advances by the predicate (0 or 1). There is
-// no branch on the data, so selectivity near 50% costs no mispredictions.
-// The predicates are the row scan's own (`lo <= v <= hi` per column,
-// `d2 <= r2` for a ball), so NaN never qualifies.
+// Two-lane vector kernels (columnar.cpp): each pair of rows is loaded into
+// a 2 x double vector and compared at once. The lane results are counted
+// (COUNT) or folded into a block's predicate bit words (bit i of word j is
+// row 64 j + i) for the visitors and the kNN filter. A range ANDs its
+// per-column results; a ball compares each row's squared distance. The predicates are the row scan's own (`lo <= v
+// <= hi` per column, `d2 <= r2` for a ball), and a compare with NaN is
+// false in every lane, so NaN never qualifies. There is one code path:
+// GCC/Clang vector extensions, with a scalar step only for the ragged
+// tail of a block; no intrinsics, no runtime dispatch, no target flags.
 //
-// Fold per block: each visitor receives one block's result while it is
-// still in cache — the ascending ids of its qualifying rows (visit_range,
-// visit_ball) or the squared distances of its rows (visit_distances). A
-// fold over those ids in order adds the same values in the same order as
-// a fold over one whole-partition selection vector. A fold must add the
+// Count without ids: count_range/count_ball AND each pair's per-column
+// lane masks and subtract them (all ones is -1) from two integer lane
+// counters; no bit word and no row id is written. A COUNT is an integer,
+// so no bit moves.
+//
+// Fold per block: visit_range/visit_ball turn each block's words into the
+// ascending ids of its qualifying rows (lowest set bit first) and hand
+// them to the visitor while the block is still in cache. A fold over
+// those ids in order adds the same values in the same order as a fold
+// over one whole-partition selection vector. A fold must add the
 // qualifying values only: masked arithmetic over every row (adding
 // `in ? v : 0.0`, or `in * v`) changes bits, because 0 * NaN is NaN and
 // -0.0 + 0.0 is +0.0.
 //
 // Squared distances accumulate column-at-a-time in dimension order, the
-// same adds in the same order as squared_distance() on a gathered Point.
+// same adds in the same order as squared_distance() on a gathered Point;
+// lane-wise IEEE subtract, multiply and add are the scalar operations.
 //
 // The scans are serial and allocate nothing: they run inside map tasks,
 // which are already the unit of parallelism.
@@ -46,6 +55,43 @@ namespace sea {
 /// Rows per scan block: one block's ids (8 KiB) and squared distances
 /// (16 KiB) stay in L1/L2 while the visitor folds them.
 inline constexpr std::size_t kScanBlock = 2048;
+/// Predicate bit words per block.
+inline constexpr std::size_t kScanWords = kScanBlock / 64;
+
+namespace detail {
+
+/// One block's predicate words: the bits of rows [begin, begin + n), n <=
+/// kScanBlock, in words[0 .. ceil(n / 64)); bits past n are 0. An empty
+/// `cols` selects every row.
+void range_words(const Table& table, std::span<const std::size_t> cols,
+                 const Rect& rect, std::size_t begin, std::size_t n,
+                 std::uint64_t* words) noexcept;
+void ball_words(const Table& table, std::span<const std::size_t> cols,
+                const Ball& ball, std::size_t begin, std::size_t n,
+                std::uint64_t* words) noexcept;
+
+/// Writes the rows of the set bits of words[0 .. nwords), ascending and
+/// offset by `first`, to `ids`; returns how many.
+std::size_t ids_of(const std::uint64_t* words, std::size_t nwords,
+                   std::uint32_t first, std::uint32_t* ids) noexcept;
+
+/// Calls `visitor(ids)` once per block with qualifying rows, blocks in row
+/// order; `words_of(begin, n, words)` fills a block's predicate words.
+template <typename WordsOf, typename Visitor>
+void visit_blocks(std::size_t rows, WordsOf&& words_of, Visitor&& visitor) {
+  std::array<std::uint64_t, kScanWords> words;
+  std::array<std::uint32_t, kScanBlock> ids;
+  for (std::size_t begin = 0; begin < rows; begin += kScanBlock) {
+    const std::size_t n = std::min(rows - begin, kScanBlock);
+    words_of(begin, n, words.data());
+    const std::size_t hits = ids_of(words.data(), (n + 63) / 64,
+                                    static_cast<std::uint32_t>(begin),
+                                    ids.data());
+    if (hits > 0) visitor(std::span<const std::uint32_t>(ids.data(), hits));
+  }
+}
+
+}  // namespace detail
 
 /// Calls `visitor(std::span<const std::uint32_t> ids)` once per block that
 /// has qualifying rows, with the ascending ids of its rows whose `cols`
@@ -55,94 +101,12 @@ void visit_range(const Table& table, std::span<const std::size_t> cols,
                  const Rect& rect, Visitor&& visitor) {
   if (rect.dims() != cols.size())
     throw std::invalid_argument("visit_range: dims mismatch");
-  std::array<std::uint32_t, kScanBlock> ids;
-  const std::size_t rows = table.num_rows();
-  for (std::size_t begin = 0; begin < rows; begin += kScanBlock) {
-    const auto end = static_cast<std::uint32_t>(
-        std::min(rows, begin + kScanBlock));
-    std::size_t n = 0;
-    if (cols.empty()) {  // empty subspace: every row qualifies
-      for (auto r = static_cast<std::uint32_t>(begin); r < end; ++r)
-        ids[n++] = r;
-    } else {
-      // The first column seeds the candidates; each further column
-      // compacts the survivors in place.
-      const double* c0 = table.column(cols[0]).data();
-      const double lo0 = rect.lo[0], hi0 = rect.hi[0];
-      for (auto r = static_cast<std::uint32_t>(begin); r < end; ++r) {
-        ids[n] = r;
-        n += static_cast<std::size_t>((c0[r] >= lo0) & (c0[r] <= hi0));
-      }
-      for (std::size_t d = 1; d < cols.size() && n > 0; ++d) {
-        const double* cd = table.column(cols[d]).data();
-        const double lo = rect.lo[d], hi = rect.hi[d];
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint32_t r = ids[i];
-          ids[kept] = r;
-          kept += static_cast<std::size_t>((cd[r] >= lo) & (cd[r] <= hi));
-        }
-        n = kept;
-      }
-    }
-    if (n > 0) visitor(std::span<const std::uint32_t>(ids.data(), n));
-  }
-}
-
-namespace detail {
-
-/// d2[i] (=, or += when `kAdd`) (col[i] - c)^2 for i < n. A full block
-/// runs with a compile-time trip count: GCC's -O2 cost model vectorizes
-/// only a loop that needs no scalar epilogue and no alias check (hence
-/// __restrict). Lane-wise IEEE subtract and multiply give the scalar
-/// loop's bits.
-template <bool kAdd>
-inline void squared_diffs(double* __restrict d2,
-                          const double* __restrict col, double c,
-                          std::size_t n) {
-  const auto pass = [&](std::size_t m) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const double diff = col[i] - c;
-      if constexpr (kAdd)
-        d2[i] += diff * diff;
-      else
-        d2[i] = diff * diff;
-    }
-  };
-  if (n == kScanBlock)
-    pass(kScanBlock);
-  else
-    pass(n);
-}
-
-}  // namespace detail
-
-/// Calls `visitor(std::uint32_t first, std::span<const double> d2)` once
-/// per block, in row order: d2[i] is the squared distance of row first + i
-/// to `center` over `cols`.
-template <typename Visitor>
-void visit_distances(const Table& table, std::span<const std::size_t> cols,
-                     std::span<const double> center, Visitor&& visitor) {
-  if (center.size() != cols.size())
-    throw std::invalid_argument("visit_distances: dims mismatch");
-  std::array<double, kScanBlock> d2;
-  const std::size_t rows = table.num_rows();
-  for (std::size_t begin = 0; begin < rows; begin += kScanBlock) {
-    const std::size_t n = std::min(rows - begin, kScanBlock);
-    if (cols.empty()) std::fill_n(d2.begin(), n, 0.0);
-    for (std::size_t d = 0; d < cols.size(); ++d) {
-      const double* cd = table.column(cols[d]).data() + begin;
-      const double c = center[d];
-      // The first column assigns: diff * diff is +0.0 or more, or NaN,
-      // and 0.0 + x is x for each, so the bits match accumulating from 0.
-      if (d == 0)
-        detail::squared_diffs<false>(d2.data(), cd, c, n);
-      else
-        detail::squared_diffs<true>(d2.data(), cd, c, n);
-    }
-    visitor(static_cast<std::uint32_t>(begin),
-            std::span<const double>(d2.data(), n));
-  }
+  detail::visit_blocks(
+      table.num_rows(),
+      [&](std::size_t begin, std::size_t n, std::uint64_t* words) {
+        detail::range_words(table, cols, rect, begin, n, words);
+      },
+      visitor);
 }
 
 /// As visit_range, for the rows within the closed `ball` over `cols`.
@@ -151,19 +115,19 @@ void visit_ball(const Table& table, std::span<const std::size_t> cols,
                 const Ball& ball, Visitor&& visitor) {
   if (ball.dims() != cols.size())
     throw std::invalid_argument("visit_ball: dims mismatch");
-  const double r2 = ball.radius * ball.radius;
-  std::array<std::uint32_t, kScanBlock> ids;
-  visit_distances(table, cols, ball.center,
-                  [&](std::uint32_t first, std::span<const double> d2) {
-                    std::size_t n = 0;
-                    for (std::size_t i = 0; i < d2.size(); ++i) {
-                      ids[n] = first + static_cast<std::uint32_t>(i);
-                      n += static_cast<std::size_t>(d2[i] <= r2);
-                    }
-                    if (n > 0)
-                      visitor(std::span<const std::uint32_t>(ids.data(), n));
-                  });
+  detail::visit_blocks(
+      table.num_rows(),
+      [&](std::size_t begin, std::size_t n, std::uint64_t* words) {
+        detail::ball_words(table, cols, ball, begin, n, words);
+      },
+      visitor);
 }
+
+/// The number of rows visit_range / visit_ball would visit.
+std::size_t count_range(const Table& table, std::span<const std::size_t> cols,
+                        const Rect& rect);
+std::size_t count_ball(const Table& table, std::span<const std::size_t> cols,
+                       const Ball& ball);
 
 /// One nearest-neighbour candidate: a row and its squared distance.
 struct NearRow {
@@ -180,8 +144,11 @@ inline std::uint64_t distance_rank(double d) noexcept {
 
 /// The min(k, num_rows) rows nearest to `center` over `cols`, in `out`
 /// ascending by (distance_rank(d2), row): nearer first, ties by row id,
-/// NaN distances last. One distance scan feeding a k-bounded max-heap;
-/// `out` is the only storage, and its capacity is reused across calls.
+/// NaN distances last. One distance scan: a vector compare against the
+/// current k-th distance filters each block, and only its survivors enter
+/// `out`, a buffer of at most 2k + 64 rows cut back to the k nearest by
+/// select_nth. `out` is the only storage, and its capacity is reused
+/// across calls.
 void nearest_rows(const Table& table, std::span<const std::size_t> cols,
                   std::span<const double> center, std::size_t k,
                   std::vector<NearRow>& out);

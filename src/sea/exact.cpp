@@ -286,13 +286,17 @@ AggregateState ExactExecutor::aggregate_rows(
 }
 
 AggregateState scan_aggregate(const Table& part, const AnalyticalQuery& q) {
+  if (q.selection == SelectionType::kNearestNeighbors)
+    throw std::invalid_argument("scan_aggregate: kNN has no row predicate");
   const TargetColumns tc(part, q);
   AggregateState agg;
+  if (tc.t.empty()) {  // add(0, 0) leaves every sum at +0.0: count only
+    agg.count = q.selection == SelectionType::kRange
+                    ? count_range(part, q.subspace_cols, q.range)
+                    : count_ball(part, q.subspace_cols, q.ball);
+    return agg;
+  }
   const auto fold = [&](std::span<const std::uint32_t> ids) {
-    if (tc.t.empty()) {
-      agg.count += ids.size();  // add(0, 0) leaves every sum at +0.0
-      return;
-    }
     AggregateState a = agg;  // a local: the sums stay in registers
     if (tc.u.empty()) {
       for (const std::uint32_t r : ids) a.add(tc.t[r], 0.0);
@@ -303,10 +307,8 @@ AggregateState scan_aggregate(const Table& part, const AnalyticalQuery& q) {
   };
   if (q.selection == SelectionType::kRange)
     visit_range(part, q.subspace_cols, q.range, fold);
-  else if (q.selection == SelectionType::kRadius)
-    visit_ball(part, q.subspace_cols, q.ball, fold);
   else
-    throw std::invalid_argument("scan_aggregate: kNN has no row predicate");
+    visit_ball(part, q.subspace_cols, q.ball, fold);
   return agg;
 }
 
@@ -326,7 +328,7 @@ ExactResult ExactExecutor::execute_mapreduce(const AnalyticalQuery& q,
     return out;
   };
   if (q.selection == SelectionType::kNearestNeighbors) {
-    // Map: the partition's k nearest rows from one bounded-heap scan,
+    // Map: the partition's k nearest rows from one filtered scan,
     // emitted ascending by (distance, row); reduce: the global k nearest.
     MapReduceJob<int, KnnCand, AggregateState> job;
     job.kv_bytes = sizeof(KnnCand);

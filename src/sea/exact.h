@@ -40,9 +40,9 @@ const char* to_string(ExecParadigm p) noexcept;
 
 /// The MapReduce map task of a range or radius query: `part`'s qualifying
 /// rows folded into one AggregateState, one scan block at a time, in
-/// ascending row order (data/columnar.h). COUNT adds each block's row
-/// count at once; add(0, 0) would leave every sum at +0.0, so the state
-/// is bit-identical to adding row by row.
+/// ascending row order (data/columnar.h). COUNT takes the count kernel's
+/// integer and writes no row ids; add(0, 0) would leave every sum at +0.0,
+/// so the state is bit-identical to adding row by row.
 AggregateState scan_aggregate(const Table& part, const AnalyticalQuery& q);
 
 struct ExactResult {

@@ -49,21 +49,33 @@ bool needs_second_target(AnalyticType t) noexcept {
          t == AnalyticType::kRegressionIntercept;
 }
 
+namespace {
+
+bool has_nan(const Point& p) {
+  return std::any_of(p.begin(), p.end(),
+                     [](double v) { return std::isnan(v); });
+}
+
+}  // namespace
+
 void AnalyticalQuery::validate() const {
   if (subspace_cols.empty())
     throw std::invalid_argument("AnalyticalQuery: no subspace columns");
   const std::size_t d = subspace_cols.size();
+  // Compares with NaN are false, so `lo > hi` and `radius < 0` let a NaN
+  // through: a NaN bound, centre or radius is rejected explicitly.
   switch (selection) {
     case SelectionType::kRange:
-      if (range.dims() != d || !range.valid())
+      if (range.dims() != d || !range.valid() || has_nan(range.lo) ||
+          has_nan(range.hi))
         throw std::invalid_argument("AnalyticalQuery: bad range selection");
       break;
     case SelectionType::kRadius:
-      if (ball.dims() != d || ball.radius < 0.0)
+      if (ball.dims() != d || !(ball.radius >= 0.0) || has_nan(ball.center))
         throw std::invalid_argument("AnalyticalQuery: bad radius selection");
       break;
     case SelectionType::kNearestNeighbors:
-      if (knn_point.size() != d || knn_k == 0)
+      if (knn_point.size() != d || knn_k == 0 || has_nan(knn_point))
         throw std::invalid_argument("AnalyticalQuery: bad kNN selection");
       break;
   }

@@ -203,6 +203,9 @@ const char* ServedAnalytics::serve_one(const AnalyticalQuery& query,
 
 std::vector<ServedAnswer> ServedAnalytics::serve_batch(
     std::span<const AnalyticalQuery> queries) {
+  // An invalid query throws here, before any model peek, counter or
+  // training update, so a rejected batch leaves no trace.
+  for (const AnalyticalQuery& q : queries) q.validate();
   std::vector<ServedAnswer> out(queries.size());
   if (queries.empty()) return out;
   bind_obs();

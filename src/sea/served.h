@@ -198,7 +198,9 @@ class ServedAnalytics {
   /// count. Ground truth from exact executions goes to the attached
   /// provider inline (before its clock advances), or else to the own agent
   /// once at the end via observe_batch(). An unanswerable query does not
-  /// throw: its answer comes back with failed=true.
+  /// throw: its answer comes back with failed=true. An invalid query
+  /// (AnalyticalQuery::validate) throws std::invalid_argument before any
+  /// query of the batch is served, leaving stats and models unchanged.
   std::vector<ServedAnswer> serve_batch(
       std::span<const AnalyticalQuery> queries);
 

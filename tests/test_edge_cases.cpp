@@ -116,6 +116,43 @@ TEST(EdgeCases, ServedAnalyticsZeroBootstrap) {
               1e-9);
 }
 
+// A batch holding one invalid (NaN) query throws before any query of it is
+// served: no ServeStats counter moves and the agent observes nothing, so
+// conservation still holds.
+TEST(EdgeCases, ServeBatchRejectsNaNQueryBeforeAnyWork) {
+  const Table t = small_dataset(500, 2, 264);
+  Cluster c = testing::make_cluster(t, "t", 2);
+  ExactExecutor exec(c, "t");
+  AgentConfig cfg;
+  DatalessAgent agent(cfg, [&](const std::vector<std::size_t>& cols) {
+    return exec.domain(cols);
+  });
+  ServedAnalytics served(agent, exec);
+  const auto good = testing::range_count_query(0.2, 0.8, 0.2, 0.8);
+  for (int i = 0; i < 5; ++i) served.serve(good);
+  const ServeStats before = served.stats();
+  const std::uint64_t observed = agent.stats().observations;
+  ASSERT_GT(before.queries, 0u);
+  ASSERT_GT(observed, 0u);
+
+  auto nan_radius = good;
+  nan_radius.selection = SelectionType::kRadius;
+  nan_radius.ball = {{0.5, 0.5}, std::nan("")};
+  auto nan_bound = good;
+  nan_bound.range.hi[1] = std::nan("");
+  for (const AnalyticalQuery& bad : {nan_radius, nan_bound}) {
+    const std::vector<AnalyticalQuery> batch = {good, bad, good};
+    EXPECT_THROW(served.serve_batch(batch), std::invalid_argument);
+    EXPECT_THROW(served.serve(bad), std::invalid_argument);
+  }
+  const ServeStats& after = served.stats();
+#define SEA_EXPECT_SAME(field) EXPECT_EQ(after.field, before.field) << #field;
+  SEA_SERVE_STATS_FIELDS(SEA_EXPECT_SAME)
+#undef SEA_EXPECT_SAME
+  EXPECT_TRUE(after.conserved());
+  EXPECT_EQ(agent.stats().observations, observed);
+}
+
 TEST(EdgeCases, RankJoinOneSidedEmptyRelation) {
   invalidate_rank_join_indexes();
   Table r = make_scored_relation(200, 10, 1.0, 263);

@@ -535,30 +535,58 @@ TEST(ColumnarKernels, SelectionMatchesRowScanAndIsAscending) {
                std::invalid_argument);
 }
 
+/// The same rows with bit-equal squared distances. With `any_nan`, two NaN
+/// distances match whatever their bits: on kSpecials data a distance can
+/// add a NaN from inf - inf (sign set on x86) to a NaN coordinate's, and
+/// the sum's sign depends on the add's operand order as compiled, which
+/// differs between builds (RelWithDebInfo vs the sanitizer presets). Every
+/// NaN distance has the same distance_rank, so no answer reads those bits.
 bool same_nearest(const std::vector<NearRow>& a,
-                  const std::vector<NearRow>& b) {
+                  const std::vector<NearRow>& b, bool any_nan = false) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const NearRow& x, const NearRow& y) {
+                    [any_nan](const NearRow& x, const NearRow& y) {
                       return x.row == y.row &&
-                             std::bit_cast<std::uint64_t>(x.d2) ==
-                                 std::bit_cast<std::uint64_t>(y.d2);
+                             (std::bit_cast<std::uint64_t>(x.d2) ==
+                                  std::bit_cast<std::uint64_t>(y.d2) ||
+                              (any_nan && std::isnan(x.d2) &&
+                               std::isnan(y.d2)));
                     });
 }
 
 class ColumnarScanDiff : public ::testing::TestWithParam<std::size_t> {};
 
-// 100 seeds x every data shape, sizes around the scan block (2048): the
-// branch-free range and ball scans must return exactly the rows of the
-// branchy row scan, block by block in row order, and nearest_rows exactly
-// the first k of a full (distance, row) sort — squared distances bit-equal
-// — at SEA_THREADS 1 and 8.
+/// The case's own geometry plus an all-in and an all-out one: +-inf rect
+/// bounds and an infinite radius select every non-NaN row; a box and a
+/// zero ball at 3.0, which no data shape holds, select none.
+std::vector<testing::ScanGeometry> scan_geometries(testing::ScanGeometry g,
+                                                   std::size_t d) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  testing::ScanGeometry all = g, none = g;
+  all.rect = Rect{Point(d, -kInf), Point(d, kInf)};
+  all.ball.radius = kInf;
+  none.rect = Rect{Point(d, 3.0), Point(d, 3.0)};
+  none.ball = Ball{Point(d, 3.0), 0.0};
+  return {std::move(g), std::move(all), std::move(none)};
+}
+
+// 100 seeds x every data shape (NaN, +-0.0 and +-inf among them), sizes
+// around the scan block (2048) and a whole explore_100k partition
+// (12,500): the vector range and ball scans must return exactly the rows
+// of the branchy row scan, block by block in row order; the count kernels
+// their number; and nearest_rows exactly the first k of a full (distance,
+// row) sort — squared distances bit-equal, ties by row, k past the row
+// count — at SEA_THREADS 1 and 8.
 TEST_P(ColumnarScanDiff, ScansMatchBranchyRowScan) {
   const std::size_t d = GetParam();
-  constexpr std::size_t kSizes[] = {0, 1, 2, 17, 2047, 2048, 2049, 4097};
+  constexpr std::size_t kSizes[] = {0, 1, 2, 3, 2047, 2048, 2049, 12500};
   std::vector<std::size_t> cols(d);
   std::iota(cols.begin(), cols.end(), std::size_t{0});
+  constexpr testing::ScanData kKinds[] = {
+      testing::ScanData::kClustered, testing::ScanData::kDuplicates,
+      testing::ScanData::kSignedZeros, testing::ScanData::kNaN,
+      testing::ScanData::kSpecials};
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    for (const testing::ScanData kind : testing::kScanDataKinds) {
+    for (const testing::ScanData kind : kKinds) {
       const std::size_t n =
           kSizes[(seed + d + static_cast<std::size_t>(kind)) %
                  std::size(kSizes)];
@@ -567,27 +595,80 @@ TEST_P(ColumnarScanDiff, ScansMatchBranchyRowScan) {
                    " n=" + std::to_string(n));
       const Table table = testing::scan_table(kind, n, d, seed * 977 + d);
       Rng rng(seed * 31 + d);
-      const testing::ScanGeometry g = testing::scan_geometry(table, d, rng);
-      const NaiveScan want = naive_scan(table, cols, g);
-      for (const std::size_t threads : {1, 8}) {
-        set_configured_threads(threads);
-        BlockCollector range, ball;
-        visit_range(table, cols, g.rect, range);
-        visit_ball(table, cols, g.ball, ball);
-        std::vector<NearRow> nearest;
-        nearest_rows(table, cols, g.center, g.k, nearest);
-        set_configured_threads(0);
-        EXPECT_TRUE(range.ok && ball.ok) << threads;
-        EXPECT_EQ(range.ids, want.range) << threads;
-        EXPECT_EQ(ball.ids, want.ball) << threads;
-        EXPECT_TRUE(same_nearest(nearest, want.nearest)) << threads;
+      for (const testing::ScanGeometry& g :
+           scan_geometries(testing::scan_geometry(table, d, rng), d)) {
+        const NaiveScan want = naive_scan(table, cols, g);
+        for (const std::size_t threads : {1, 8}) {
+          set_configured_threads(threads);
+          BlockCollector range, ball;
+          visit_range(table, cols, g.rect, range);
+          visit_ball(table, cols, g.ball, ball);
+          const std::size_t range_n = count_range(table, cols, g.rect);
+          const std::size_t ball_n = count_ball(table, cols, g.ball);
+          std::vector<NearRow> nearest;
+          nearest_rows(table, cols, g.center, g.k, nearest);
+          set_configured_threads(0);
+          EXPECT_TRUE(range.ok && ball.ok) << threads;
+          EXPECT_EQ(range.ids, want.range) << threads;
+          EXPECT_EQ(ball.ids, want.ball) << threads;
+          EXPECT_EQ(range_n, want.range.size()) << threads;
+          EXPECT_EQ(ball_n, want.ball.size()) << threads;
+          EXPECT_TRUE(same_nearest(nearest, want.nearest,
+                                   kind == testing::ScanData::kSpecials))
+              << threads;
+        }
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, ColumnarScanDiff,
-                         ::testing::Values(1, 2, 3, 5));
+                         ::testing::Range(std::size_t{1}, std::size_t{9}));
+
+// nearest_rows bounds its first block's k-th rank from a radix histogram
+// when k fits in that block, and otherwise keeps the first k rows as they
+// come. Both must give the full sort's rows: k around the block size and
+// the row count, a first block of NaN distances only (its k-th rank is a
+// NaN's), a NaN centre (every distance NaN), and duplicate-heavy data
+// whose k-th distance ties many rows.
+TEST(ColumnarKernels, NearestRowsMatchSortOnEveryBoundPath) {
+  constexpr std::size_t kRows = 5000;
+  const std::vector<std::size_t> cols{0, 1};
+  Table nan_head = testing::scan_table(testing::ScanData::kClustered, kRows,
+                                       2, 83);
+  std::vector<std::vector<double>> head(2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto col = nan_head.column(c);
+    head[c].assign(col.begin(), col.end());
+    std::fill_n(head[c].begin(), kScanBlock, std::nan(""));
+  }
+  nan_head = Table::from_columns(Schema({"x", "y"}), std::move(head));
+  const Table lattice =
+      testing::scan_table(testing::ScanData::kDuplicates, kRows, 2, 89);
+  const Table specials =
+      testing::scan_table(testing::ScanData::kSpecials, kRows, 2, 97);
+  const Table* tables[] = {&nan_head, &lattice, &specials};
+  for (std::size_t t = 0; t < std::size(tables); ++t) {
+    const Table& table = *tables[t];
+    for (const Point& center :
+         {Point{0.5, 0.5}, Point{0.25, 0.0}, Point{std::nan(""), 0.5}}) {
+      for (const std::size_t k :
+           {1, 2, 63, 64, 65, 2047, 2048, 2049, 4999, 5000, 6000}) {
+        SCOPED_TRACE("table=" + std::to_string(t) +
+                     " k=" + std::to_string(k));
+        testing::ScanGeometry g;
+        g.rect = Rect{center, center};
+        g.ball = Ball{center, 0.0};
+        g.center = center;
+        g.k = k;
+        std::vector<NearRow> got;
+        nearest_rows(table, cols, center, k, got);
+        EXPECT_TRUE(same_nearest(got, naive_scan(table, cols, g).nearest,
+                                 &table == &specials));
+      }
+    }
+  }
+}
 
 // The NaN rule: a NaN squared distance ranks after every number, +inf
 // included, and NaN ties break by row like any other tie.

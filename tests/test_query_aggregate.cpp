@@ -1,6 +1,9 @@
 // Unit + property tests: query model, feature extraction, aggregate state.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "common/stats.h"
 #include "sea/aggregate.h"
@@ -43,6 +46,44 @@ TEST(Query, ValidateRejectsBadQueries) {
   knn.knn_point = {0.5};
   knn.knn_k = 0;
   EXPECT_THROW(knn.validate(), std::invalid_argument);
+}
+
+// Compares with NaN are false, so the plain bound checks (`lo > hi`,
+// `radius < 0`) would let a NaN selection through to the model features.
+TEST(Query, ValidateRejectsNaNSelections) {
+  const double nan = std::nan("");
+  const Rect domain{{0.0, 0.0}, {1.0, 1.0}};
+  std::vector<AnalyticalQuery> bad;
+  for (const int slot : {0, 1, 2, 3}) {
+    auto q = testing::range_count_query(0.1, 0.9, 0.1, 0.9);
+    (slot < 2 ? q.range.lo : q.range.hi)[slot % 2] = nan;
+    bad.push_back(q);
+  }
+  AnalyticalQuery radius;
+  radius.selection = SelectionType::kRadius;
+  radius.subspace_cols = {0, 1};
+  radius.ball = {{0.5, 0.5}, nan};
+  bad.push_back(radius);
+  radius.ball = {{0.5, nan}, 0.1};
+  bad.push_back(radius);
+  AnalyticalQuery knn;
+  knn.selection = SelectionType::kNearestNeighbors;
+  knn.subspace_cols = {0, 1};
+  knn.knn_point = {nan, 0.5};
+  knn.knn_k = 5;
+  bad.push_back(knn);
+  for (const AnalyticalQuery& q : bad) {
+    SCOPED_TRACE(q.describe());
+    EXPECT_THROW(q.validate(), std::invalid_argument);
+    EXPECT_THROW(extract_features(q, domain), std::invalid_argument);
+  }
+  // Infinite bounds and a zero radius stay valid.
+  auto wide = testing::range_count_query(
+      -std::numeric_limits<double>::infinity(), 1.0, 0.0,
+      std::numeric_limits<double>::infinity());
+  EXPECT_NO_THROW(wide.validate());
+  radius.ball = {{0.5, 0.5}, 0.0};
+  EXPECT_NO_THROW(radius.validate());
 }
 
 TEST(Query, SignatureSeparatesTaskFamilies) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,8 +136,11 @@ inline AnalyticalQuery range_count_query(double lo0, double hi0, double lo1,
 
 /// Data shapes for the fused-scan differential suites: tight blobs, a 0.25
 /// lattice (many exact ties and boundary hits), +0.0/-0.0 mixed with +-1,
-/// and uniform values with ~10% NaN.
-enum class ScanData { kClustered, kDuplicates, kSignedZeros, kNaN };
+/// and uniform values with ~10% NaN. kSpecials (NaN, +-inf and +-0.0 mixed
+/// with +-0.5 and +-1) is for selection and distance checks only: its
+/// target sums reach NaN from both a NaN value and inf + -inf, and the
+/// sign of such a NaN depends on the add's operand order as compiled.
+enum class ScanData { kClustered, kDuplicates, kSignedZeros, kNaN, kSpecials };
 
 inline constexpr ScanData kScanDataKinds[] = {
     ScanData::kClustered, ScanData::kDuplicates, ScanData::kSignedZeros,
@@ -170,6 +174,13 @@ inline Table scan_table(ScanData kind, std::size_t n, std::size_t d,
         case ScanData::kNaN:
           v = rng.uniform() < 0.1 ? std::nan("") : rng.uniform();
           break;
+        case ScanData::kSpecials: {
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          const double pick[] = {std::nan(""), kInf, -kInf, 0.0, -0.0,
+                                 0.5,          -0.5, 1.0,   -1.0};
+          v = pick[rng.uniform_index(std::size(pick))];
+          break;
+        }
       }
     }
   }
