@@ -1227,9 +1227,9 @@ int run_perf_smoke() {
 
   // MapReduce map gates: explore_100k's three query shapes on 8 x 12.5k
   // partitions (32 queries each). The vector maps must fold byte-equal
-  // states to the branchy row loop and beat it by the given factor: about
-  // 80% of the worst of five runs on a shared 4-vCPU host (range COUNT
-  // 9.5-13.5x, radius AVG 3.1-3.3x, kNN SUM 3.1-3.4x; kNN's 2.5x is the
+  // states to the branchy row loop and beat it by the given factor: 80-90%
+  // of the worst of ten runs on a shared 4-vCPU host (range COUNT
+  // 8.6-14.1x, radius AVG 3.0-3.5x, kNN SUM 2.8-3.5x; kNN's 2.5x is the
   // target its map was rebuilt for).
   {
     constexpr std::size_t kMrReps = 15;

@@ -97,7 +97,9 @@ bool nearer(const NearRow& a, const NearRow& b) noexcept {
 /// An upper bound on the `take`-th smallest distance_rank in d2[0, n),
 /// take <= n: the last rank of the radix bucket holding it, of 256 equal
 /// buckets spanning the non-NaN ranks; ~0 when that rank is a NaN's. At
-/// least `take` of the rows rank at or below it.
+/// least `take` of the rows rank at or below it. It makes a kNN map about
+/// a sixth faster than seeding from the first `take` rows (DESIGN.md
+/// "Columnar scans").
 std::uint64_t rank_edge(const double* d2, std::size_t n, std::size_t take) {
   const double inf = std::numeric_limits<double>::infinity();
   V2d lo2{inf, inf}, hi2{0.0, 0.0};  // NaN lanes compare false: skipped
@@ -130,7 +132,8 @@ std::uint64_t rank_edge(const double* d2, std::size_t n, std::size_t take) {
 /// One range column's lane masks over `pairs` row pairs, ANDed into
 /// m[] (the first column assigns), and the per-lane count of pairs' rows
 /// still qualifying: each qualifying lane's mask is all ones, so
-/// subtracting it adds 1.
+/// subtracting it adds 1. Counting here beats a popcount of range_words
+/// by about a seventh (DESIGN.md "Columnar scans").
 template <bool kFirst>
 V2u range_lanes(V2u* m, const double* col, double lo, double hi,
                 std::size_t pairs) noexcept {
@@ -281,7 +284,7 @@ void nearest_rows(const Table& table, std::span<const std::size_t> cols,
   // Every d2 is +0.0 or more, or NaN, so `d2 <= bound` holds for every
   // row under `worst`: the vector filter passes those rows, and only they
   // take the exact test.
-  const std::size_t cap = 2 * take + 64;
+  const std::size_t cap = std::min(2 * take + 64, rows);
   out.reserve(cap);
   constexpr std::uint64_t kInfRank =
       std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity());

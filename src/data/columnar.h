@@ -1,41 +1,21 @@
-// Cache-blocked, branch-free columnar scans over Table.
+// Blocked columnar scans over Table: the MapReduce map kernels.
 //
-// The row-at-a-time alternative (Table::gather into a Point per row, then a
-// Rect/Ball predicate) pays one bounds-checked indirect load per (row,
-// column) and a data-dependent branch per row. These scans flip the loop:
-// column-at-a-time over fixed blocks of kScanBlock rows, so each column's
-// span is streamed sequentially.
-//
-// Two-lane vector kernels (columnar.cpp): each pair of rows is loaded into
-// a 2 x double vector and compared at once. The lane results are counted
-// (COUNT) or folded into a block's predicate bit words (bit i of word j is
-// row 64 j + i) for the visitors and the kNN filter. A range ANDs its
-// per-column results; a ball compares each row's squared distance. The predicates are the row scan's own (`lo <= v
-// <= hi` per column, `d2 <= r2` for a ball), and a compare with NaN is
-// false in every lane, so NaN never qualifies. There is one code path:
-// GCC/Clang vector extensions, with a scalar step only for the ragged
-// tail of a block; no intrinsics, no runtime dispatch, no target flags.
-//
-// Count without ids: count_range/count_ball AND each pair's per-column
-// lane masks and subtract them (all ones is -1) from two integer lane
-// counters; no bit word and no row id is written. A COUNT is an integer,
-// so no bit moves.
-//
-// Fold per block: visit_range/visit_ball turn each block's words into the
-// ascending ids of its qualifying rows (lowest set bit first) and hand
-// them to the visitor while the block is still in cache. A fold over
-// those ids in order adds the same values in the same order as a fold
-// over one whole-partition selection vector. A fold must add the
-// qualifying values only: masked arithmetic over every row (adding
-// `in ? v : 0.0`, or `in * v`) changes bits, because 0 * NaN is NaN and
-// -0.0 + 0.0 is +0.0.
-//
-// Squared distances accumulate column-at-a-time in dimension order, the
-// same adds in the same order as squared_distance() on a gathered Point;
-// lane-wise IEEE subtract, multiply and add are the scalar operations.
-//
-// The scans are serial and allocate nothing: they run inside map tasks,
-// which are already the unit of parallelism.
+// Each scan streams column spans in blocks of kScanBlock rows through
+// two-lane GCC/Clang vector kernels (columnar.cpp). What callers rely on:
+//   * The predicates are the row scan's own (`lo <= v <= hi` per column,
+//     `d2 <= r2` for a ball), so NaN never qualifies.
+//   * Visitors get each block's qualifying ids ascending, blocks in row
+//     order, so a fold over them adds the same values in the same order
+//     as a fold over one whole-partition selection. A fold must add the
+//     qualifying values only: masked arithmetic (`in ? v : 0.0`, `in * v`)
+//     changes bits, because 0 * NaN is NaN and -0.0 + 0.0 is +0.0.
+//   * count_range/count_ball write no ids and return the visited row
+//     count, so a COUNT built from them is bit-identical.
+//   * Squared distances add per column in dimension order, bit-equal to
+//     squared_distance() on a gathered Point.
+//   * The scans are serial and allocate nothing but nearest_rows' output:
+//     they run inside map tasks, already the unit of parallelism.
+// DESIGN.md "Columnar scans" gives the vector idiom and the reasons.
 #pragma once
 
 #include <algorithm>
@@ -146,9 +126,9 @@ inline std::uint64_t distance_rank(double d) noexcept {
 /// ascending by (distance_rank(d2), row): nearer first, ties by row id,
 /// NaN distances last. One distance scan: a vector compare against the
 /// current k-th distance filters each block, and only its survivors enter
-/// `out`, a buffer of at most 2k + 64 rows cut back to the k nearest by
-/// select_nth. `out` is the only storage, and its capacity is reused
-/// across calls.
+/// `out`, a buffer of at most min(2k + 64, num_rows) rows cut back to the
+/// k nearest by select_nth. `out` is the only storage, and its capacity is
+/// reused across calls.
 void nearest_rows(const Table& table, std::span<const std::size_t> cols,
                   std::span<const double> center, std::size_t k,
                   std::vector<NearRow>& out);
