@@ -18,9 +18,9 @@ namespace {
 void run() {
   banner("E11: kNN missing-value imputation, missing-rate sweep",
          "surgical index probes beat MapReduce all-pairs scans ([36])");
-  row("%10s %10s %16s %16s %14s %14s %10s", "missing%", "holes",
-      "mr_cpu_ms(meas)", "idx_cpu_ms(meas)", "mr_ms(model)", "idx_ms(model)",
-      "rmse");
+  row("%10s %10s %16s %16s %17s %18s %10s", "missing%", "holes",
+      "mr_cpu_ms(meas)", "idx_cpu_ms(meas)", "mr_ms(model+meas)",
+      "idx_ms(model+meas)", "rmse");
 
   for (const double rate : {0.01, 0.03, 0.06, 0.10}) {
     Table table = make_clustered_dataset(30000, 2, 3, 111);
@@ -53,7 +53,7 @@ void run() {
         idx.values.empty()
             ? 0.0
             : std::sqrt(sse / static_cast<double>(idx.values.size()));
-    row("%10.0f %10zu %16.1f %16.2f %14.1f %14.2f %10.3f", rate * 100,
+    row("%10.0f %10zu %16.1f %16.2f %17.1f %18.2f %10.3f", rate * 100,
         idx.values.size(),
         mr.report.map_compute_ms_total + mr.report.reduce_compute_ms_total,
         idx.report.coordinator_compute_ms, mr.report.makespan_ms(),

@@ -16,8 +16,8 @@ void rknn() {
   banner("E14a: reverse kNN (RT2.1)",
          "local k-th-NN bounds reject most tuples on their own node; only "
          "survivors are verified across nodes");
-  row("%6s %14s %14s %12s %12s %14s", "k", "scan_ms(model)",
-      "idx_ms(model)", "speedup", "survivors", "results");
+  row("%6s %19s %18s %12s %12s %14s", "k", "scan_ms(model+meas)",
+      "idx_ms(model+meas)", "speedup", "survivors", "results");
   const Table t = make_clustered_dataset(6000, 2, 3, 141);
   Cluster cluster(6, Network::single_zone(6));
   cluster.load_table("t", t);
@@ -26,7 +26,7 @@ void rknn() {
   for (const std::size_t k : {1u, 5u, 20u}) {
     const auto scan = reverse_knn_scan(cluster, "t", cols, q, k);
     const auto idx = reverse_knn_indexed(cluster, "t", cols, q, k);
-    row("%6zu %14.1f %14.2f %12.1f %12llu %14zu", k,
+    row("%6zu %19.1f %18.2f %12.1f %12llu %14zu", k,
         scan.report.makespan_ms(), idx.report.makespan_ms(),
         scan.report.makespan_ms() /
             std::max(1e-9, idx.report.makespan_ms()),
@@ -103,8 +103,8 @@ void approx_knn() {
   banner("E14d: approximate kNN vs data placement (RT2.1)",
          "probing only the nearest partitions trades recall for cost; "
          "locality-aware placement makes the trade nearly free");
-  row("%-14s %8s %10s %14s %12s", "placement", "probes", "recall",
-      "idx_ms(model)", "rpcs");
+  row("%-14s %8s %10s %18s %12s", "placement", "probes", "recall",
+      "idx_ms(model+meas)", "rpcs");
   const Table t = make_clustered_dataset(40000, 2, 3, 146);
   const std::vector<std::size_t> cols = {0, 1};
   const Point q = {0.5, 0.5};
@@ -118,7 +118,7 @@ void approx_knn() {
     for (const std::size_t probes : {1u, 2u, 4u, 8u}) {
       const auto approx =
           knn_retrieve_approx(cluster, "t", cols, q, 20, probes);
-      row("%-14s %8zu %10.2f %14.2f %12llu",
+      row("%-14s %8zu %10.2f %18.2f %12llu",
           range_part ? "range(x0)" : "round_robin", probes,
           knn_recall(exact, approx), approx.report.makespan_ms(),
           static_cast<unsigned long long>(approx.report.rpc_round_trips));

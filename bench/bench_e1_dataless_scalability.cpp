@@ -21,8 +21,9 @@ void run() {
          "agent serving cost is insensitive to data size; exact paths grow "
          "(paper §III.B: 'query processing times become de facto "
          "insensitive to data sizes')");
-  row("%10s %14s %16s %15s %14s %16s %12s %12s %12s", "rows",
-      "mr_ms(model)", "mr_wall_ms(meas)", "mr_cpu_ms(meas)", "idx_ms(model)",
+  row("%10s %17s %16s %15s %18s %16s %12s %12s %12s", "rows",
+      "mr_ms(model+meas)", "mr_wall_ms(meas)", "mr_cpu_ms(meas)",
+      "idx_ms(model+meas)",
       "agent_us(meas)", "hit_rate", "agent_rows", "mr_rows");
   // Machine-readable record per rows point: modelled makespan (hardware-
   // independent) side by side with measured wall time, so cross-PR diffs
@@ -75,7 +76,7 @@ void run() {
         agent_us.add(us);
       }
     }
-    row("%10zu %14.2f %16.2f %15.2f %14.2f %16.1f %12.2f %12llu %12llu",
+    row("%10zu %17.2f %16.2f %15.2f %18.2f %16.1f %12.2f %12llu %12llu",
         rows, mr_ms.mean(), mr_wall.mean(), mr_cpu.mean(), idx_ms.mean(),
         agent_us.mean(),
         static_cast<double>(hits) / static_cast<double>(asked),
@@ -117,8 +118,8 @@ void availability() {
   wc.hotspot_anchors = sample_anchor_points(table, wc.subspace_cols, 24, 9);
   QueryWorkload wl(wc, exec.domain({0, 1}));
 
-  row("%-22s %10s %14s %14s", "phase", "wrong", "mr_ms(model)",
-      "idx_ms(model)");
+  row("%-22s %10s %17s %18s", "phase", "wrong", "mr_ms(model+meas)",
+      "idx_ms(model+meas)");
   const auto run_phase = [&](const char* phase) {
     std::size_t wrong = 0;
     RunningStats mr_ms, idx_ms;
@@ -133,7 +134,7 @@ void availability() {
       mr_ms.add(mr.report.makespan_ms());
       idx_ms.add(idx.report.makespan_ms());
     }
-    row("%-22s %10zu %14.2f %14.2f", phase, wrong, mr_ms.mean(),
+    row("%-22s %10zu %17.2f %18.2f", phase, wrong, mr_ms.mean(),
         idx_ms.mean());
   };
   run_phase("healthy(8/8)");

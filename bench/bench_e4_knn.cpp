@@ -25,8 +25,8 @@ void sweep_k() {
   banner("E4a: distributed kNN, k sweep (100k rows, 8 nodes, d=2)",
          "per-node k-d trees + coordinator merge touch ~k rows; MapReduce "
          "scans everything ([33]: three orders of magnitude)");
-  row("%6s %14s %14s %12s %12s %12s", "k", "mr_ms(model)", "idx_ms(model)",
-      "speedup", "mr_rows", "idx_rows");
+  row("%6s %17s %18s %12s %12s %12s", "k", "mr_ms(model+meas)",
+      "idx_ms(model+meas)", "speedup", "mr_rows", "idx_rows");
   Scenario s(100000, 8, AnalyticType::kAvg);
   for (const std::size_t k : {1u, 10u, 100u, 1000u}) {
     RunningStats mr_ms, idx_ms;
@@ -42,7 +42,7 @@ void sweep_k() {
                      .report.makespan_ms());
       idx_rows += s.cluster.stats().rows_scanned;
     }
-    row("%6zu %14.2f %14.2f %12.1f %12llu %12llu", k, mr_ms.mean(),
+    row("%6zu %17.2f %18.2f %12.1f %12llu %12llu", k, mr_ms.mean(),
         idx_ms.mean(), mr_ms.mean() / std::max(1e-9, idx_ms.mean()),
         static_cast<unsigned long long>(mr_rows / 5),
         static_cast<unsigned long long>(idx_rows / 5));
@@ -53,8 +53,8 @@ void sweep_dims() {
   banner("E4b: distributed kNN, dimensionality sweep (k=50)",
          "index pruning weakens as dimensionality grows — the trade-off "
          "that motivates method selection (P4)");
-  row("%6s %14s %14s %12s %12s", "dims", "mr_ms(model)", "idx_ms(model)",
-      "speedup", "idx_rows");
+  row("%6s %17s %18s %12s %12s", "dims", "mr_ms(model+meas)",
+      "idx_ms(model+meas)", "speedup", "idx_rows");
   for (const std::size_t dims : {2u, 4u, 6u, 8u}) {
     const Table table = make_clustered_dataset(50000, dims, 3, 61);
     Cluster cluster(8, Network::single_zone(8));
@@ -79,7 +79,7 @@ void sweep_dims() {
                      .report.makespan_ms());
       idx_rows += cluster.stats().rows_scanned;
     }
-    row("%6zu %14.2f %14.2f %12.1f %12llu", dims, mr_ms.mean(),
+    row("%6zu %17.2f %18.2f %12.1f %12llu", dims, mr_ms.mean(),
         idx_ms.mean(), mr_ms.mean() / std::max(1e-9, idx_ms.mean()),
         static_cast<unsigned long long>(idx_rows / 5));
   }

@@ -92,18 +92,18 @@ void run() {
   for (const auto& q : stream)
     cost_adaptive += adaptive.execute(q).report.makespan_ms();
 
-  row("%-18s %16s %12s", "policy", "total_ms(model)", "vs_oracle");
-  row("%-18s %16.1f %12.2f", "always_mapreduce", cost_mr,
+  row("%-18s %20s %12s", "policy", "total_ms(model+meas)", "vs_oracle");
+  row("%-18s %20.1f %12.2f", "always_mapreduce", cost_mr,
       cost_mr / cost_oracle);
-  row("%-18s %16.1f %12.2f", "always_kdtree", cost_idx,
+  row("%-18s %20.1f %12.2f", "always_kdtree", cost_idx,
       cost_idx / cost_oracle);
-  row("%-18s %16.1f %12.2f", "always_grid", cost_grid,
+  row("%-18s %20.1f %12.2f", "always_grid", cost_grid,
       cost_grid / cost_oracle);
-  row("%-18s %16.1f %12.2f", "always_learned", cost_learned,
+  row("%-18s %20.1f %12.2f", "always_learned", cost_learned,
       cost_learned / cost_oracle);
-  row("%-18s %16.1f %12.2f", "learned_selector", cost_adaptive,
+  row("%-18s %20.1f %12.2f", "learned_selector", cost_adaptive,
       cost_adaptive / cost_oracle);
-  row("%-18s %16.1f %12.2f", "oracle", cost_oracle, 1.0);
+  row("%-18s %20.1f %12.2f", "oracle", cost_oracle, 1.0);
   row("oracle picks: mapreduce=%zu kdtree=%zu grid=%zu learned_grid=%zu "
       "of %zu",
       oracle_mr, oracle_idx, oracle_grid, oracle_learned, stream.size());

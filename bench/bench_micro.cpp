@@ -1225,6 +1225,83 @@ int run_perf_smoke() {
             kd_gather_radius_sum);
   }
 
+  // Fork-join runtime. The wall of an empty 8-index ParallelFor at 2
+  // threads is recorded, not gated. kd_probe_fanout gates the indexed
+  // exact path's one-cell-per-shard probe region: one fused radius SUM
+  // execute over the eight dashboard_1m shards (8 x 125k clustered 2-d
+  // rows, ~10% of them qualifying) must return byte-equal states at 1 and
+  // 2 threads and be >= 1.3x faster at 2, best of interleaved rounds.
+  {
+    constexpr std::size_t kRegions = 2000;
+    set_configured_threads(2);
+    const double empty_us =
+        best_of_ms(kReps * 3,
+                   [&] {
+                     for (std::size_t i = 0; i < kRegions; ++i)
+                       ParallelFor(8, [](std::size_t) {});
+                   }) *
+        1000.0 / kRegions;
+    json.begin("smoke_parallel_for_empty");
+    json.num("threads", std::uint64_t{2});
+    json.num("indices", std::uint64_t{8});
+    json.num("wall_us", empty_us);
+    std::printf("%-26s %10s %10.2f %10s %7s %6s  (us per empty "
+                "ParallelFor(8), recorded)\n",
+                "parallel_for_empty", "-", empty_us, "-", "-", "-");
+
+    const Table table = make_clustered_dataset(kRows, 2, 3, 7);
+    Cluster cluster(8, Network::single_zone(8));
+    cluster.load_table("t", table);
+    ExactExecutor exec(cluster, "t");
+    AnalyticalQuery q;
+    q.selection = SelectionType::kRadius;
+    q.analytic = AnalyticType::kSum;
+    q.subspace_cols = {0, 1};
+    q.target_col = 2;
+    const std::size_t r = kRows / 3;
+    q.ball = Ball{{table.at(r, 0), table.at(r, 1)}, 0.05};
+    exec.execute(q, ExecParadigm::kCoordinatorIndexed);  // builds the trees
+    // Many short interleaved rounds: every 2-thread round starts a fresh
+    // worker, and a host that does not balance threads across CPUs can
+    // leave it on the caller's CPU for a whole round (then 2t == 1t).
+    constexpr std::size_t kRounds = 80;
+    constexpr std::size_t kPerRound = 10;
+    constexpr double kMinFanout = 1.3;
+    double fan_1t = std::numeric_limits<double>::infinity();
+    double fan_2t = fan_1t;
+    AggregateState s1, s2;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (const std::size_t threads : {1, 2}) {
+        set_configured_threads(threads);
+        AggregateState& s = threads == 1 ? s1 : s2;
+        double& best = threads == 1 ? fan_1t : fan_2t;
+        best = std::min(best, best_of_ms(kPerRound, [&] {
+                          s = exec.execute(q, ExecParadigm::kCoordinatorIndexed)
+                                  .state;
+                        }));
+      }
+    }
+    const bool same = std::memcmp(&s1, &s2, sizeof(AggregateState)) == 0;
+    const double fanout = fan_2t > 0.0 ? fan_1t / fan_2t : 0.0;
+    const bool pass = same && fanout >= kMinFanout;
+    json.begin("smoke_kd_probe_fanout");
+    json.num("n", static_cast<std::uint64_t>(kRows));
+    json.num("shards", std::uint64_t{8});
+    json.num("qualifying", s1.count);
+    json.num("wall_ms_1t", fan_1t);
+    json.num("wall_ms_2t", fan_2t);
+    json.num("speedup", fanout);
+    json.num("min_speedup", kMinFanout);
+    json.num("answers_match", std::uint64_t{same ? 1u : 0u});
+    json.num("pass", std::uint64_t{pass ? 1u : 0u});
+    std::printf("%-26s %10.3f %10.3f %10s %7.2f %6s  (1t/2t, gate >= %.1fx, "
+                "%llu tuples)\n",
+                "kd_probe_fanout", fan_1t, fan_2t, "-", fanout,
+                pass ? "ok" : "FAIL", kMinFanout,
+                static_cast<unsigned long long>(s1.count));
+    if (!pass) ok = false;
+  }
+
   // MapReduce map gates: explore_100k's three query shapes on 8 x 12.5k
   // partitions (32 queries each). The vector maps must fold byte-equal
   // states to the branchy row loop and beat it by the given factor: 80-90%

@@ -46,7 +46,10 @@ run_preset default
 # same (key, id) pairs), the kd_select gate (one build's median selects on a
 # 125k-record partition: byte-equal to std::nth_element and >= 1.5x faster),
 # and the fused k-d probes on byte-equal answers and their speedup over
-# id-materializing probes, and the MapReduce map tasks of explore_100k's three
+# id-materializing probes, kd_probe_fanout (one 8-shard fused radius SUM
+# execute: byte-equal states at 1 and 2 threads, >= 1.3x faster at 2; the
+# wall of an empty ParallelFor(8) is recorded beside it), and the MapReduce
+# map tasks of explore_100k's three
 # query shapes (mr_map_range_count, mr_map_radius_avg, mr_map_knn_sum gated
 # on byte-equal states and >= 7.5x / 2.5x / 2.5x speedup over a branchy row
 # loop), and one per-quantum GBM fit at 63 and 512 rows (gbm_fit_63,

@@ -3,10 +3,10 @@
 // All hot-path concurrency in the library (MapReduce map/reduce compute,
 // index construction, agent batch refits, batched serving) goes through
 // ParallelFor/ParallelChunks so one global knob — SEA_THREADS — controls
-// the worker count everywhere, and so the determinism contract (DESIGN.md
+// the thread count everywhere, and so the determinism contract (DESIGN.md
 // "Concurrency model") is enforced in a single place:
 //
-//  * Work is split into chunks that are a pure function of (n, worker
+//  * Work is split into chunks that are a pure function of (n, thread
 //    count); scheduling order never affects which thread computes what.
 //  * Bodies may only write state owned by their own index/chunk; anything
 //    shared (accounting, RNG draws, fault-injector ticks) stays on the
@@ -21,30 +21,35 @@
 
 namespace sea {
 
-class ThreadPool;
-
-/// Worker count in effect: SEA_THREADS env var on first use (0 or 1 =>
-/// serial), otherwise std::thread::hardware_concurrency().
+/// Threads doing the work of a region, the caller included: SEA_THREADS
+/// env var on first use (0 or 1 => serial), otherwise
+/// std::thread::hardware_concurrency(). A region runs on the calling
+/// thread plus configured_threads() - 1 persistent workers.
 std::size_t configured_threads();
 
-/// Overrides the worker count at runtime (tests, benchmark sweeps). The
-/// shared pool is torn down and lazily rebuilt at the new size. Not safe
-/// to call concurrently with in-flight ParallelFor calls.
+/// Overrides the thread count at runtime (tests, benchmark sweeps). The
+/// workers are joined and lazily restarted at the new count. Not safe to
+/// call concurrently with in-flight ParallelFor calls.
 void set_configured_threads(std::size_t threads);
 
-/// True while the calling thread is inside a ParallelFor/ParallelChunks
-/// body; nested parallel calls run serially to avoid pool deadlock.
+/// True while the calling thread runs a ParallelFor/ParallelChunks body on
+/// the worker runtime; nested parallel calls run inline.
 bool in_parallel_region() noexcept;
 
 /// Runs fn(i) for every i in [0, n). Indices are processed in contiguous
-/// chunks; chunk boundaries depend only on n and the configured worker
+/// chunks; chunk boundaries depend only on n and the configured thread
 /// count. fn must only touch state owned by index i (or chunk-local
-/// state); exceptions are rethrown on the caller (first one wins).
+/// state). Every index runs even when some throw; the exception of the
+/// lowest throwing index is then rethrown on the caller.
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Chunk-granular variant: body(begin, end) is invoked once per contiguous
 /// chunk, letting the body keep chunk-local scratch state. Chunking is the
-/// same deterministic split ParallelFor uses.
+/// same deterministic split ParallelFor uses. Every chunk runs even when
+/// some throw; the lowest throwing chunk's exception is rethrown.
+///
+/// A region started inside another region's body, or while another
+/// thread's region is active, runs inline on its caller as one chunk.
 void ParallelChunks(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -133,4 +133,33 @@ void nearest_rows(const Table& table, std::span<const std::size_t> cols,
                   std::span<const double> center, std::size_t k,
                   std::vector<NearRow>& out);
 
+/// Visits the first min(k, items.size()) elements of std::stable_sort(
+/// items) ascending by rank(item), in that order, without sorting: `items`
+/// is a concatenation of runs that each ascend by rank (one nearest_rows
+/// list per partition), merged with ties to the earlier run. Runs are cut
+/// at every descent, so any input visits the stable sort's prefix.
+template <typename T, typename Rank, typename Visit>
+void visit_merged_runs(std::span<const T> items, std::size_t k, Rank&& rank,
+                       Visit&& visit) {
+  struct Run {
+    std::size_t pos, end;
+  };
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i == 0 || rank(items[i]) < rank(items[i - 1]))
+      runs.push_back({i, i + 1});
+    else
+      runs.back().end = i + 1;
+  }
+  for (std::size_t taken = std::min(k, items.size()); taken > 0; --taken) {
+    Run* best = nullptr;
+    for (Run& r : runs) {
+      if (r.pos < r.end &&
+          (best == nullptr || rank(items[r.pos]) < rank(items[best->pos])))
+        best = &r;
+    }
+    visit(items[best->pos++]);
+  }
+}
+
 }  // namespace sea

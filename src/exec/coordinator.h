@@ -240,6 +240,13 @@ class CohortSession {
     }
   }
 
+  /// Server-side compute an rpc_to() body did ahead of the call (a probe
+  /// computed in a parallel region before the serial replay): charged the
+  /// way the body's own measured time is, once per execution of the body.
+  void add_server_compute_ms(double ms) noexcept {
+    report_.coordinator_compute_ms += ms;
+  }
+
   /// Records that a task was moved to a replica holder after its serving
   /// node flapped mid-query (called by executors on NodeDownError).
   void note_reroute() noexcept { ++report_.tasks_rerouted; }

@@ -21,7 +21,7 @@ struct CostRates {
 struct ExecReport {
   // Real, measured compute.
   /// End-to-end wall clock of the execution call on the driving host,
-  /// including any thread-pool parallelism (SEA_THREADS). Deliberately
+  /// including any parallel regions (SEA_THREADS). Deliberately
   /// separate from the modelled makespan: wall_ms is where parallel
   /// speedups show up; the cost model stays hardware-independent.
   double wall_ms = 0.0;

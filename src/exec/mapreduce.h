@@ -14,7 +14,7 @@
 // cluster's RetryPolicy (retries/dropped_messages/modelled_backoff_ms).
 //
 // Concurrency (DESIGN.md "Concurrency model"): map tasks, per-reducer
-// shuffle bucketing, and reduce groups execute on the shared thread pool
+// shuffle bucketing, and reduce groups execute on the fork-join runtime
 // (SEA_THREADS), but everything that consumes shared mutable state —
 // fault-injector ticks, retry RNG draws, cluster/network accounting —
 // runs on the calling thread in fixed task-index order, so results and

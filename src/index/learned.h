@@ -8,9 +8,9 @@
 // placement — and therefore the cost — differs. The differential harness in
 // tests/test_learned_index.cpp enforces exactly that contract.
 //
-// The build runs on the shared pool (ParallelChunks / par::counting_sort)
-// and is bit-identical at SEA_THREADS 1 vs 8: every model parameter and
-// every array is a pure function of the input.
+// The build runs on the fork-join runtime (ParallelChunks /
+// par::counting_sort) and is bit-identical at SEA_THREADS 1 vs 8: every
+// model parameter and every array is a pure function of the input.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <span>
 #include <sstream>
 
+#include "common/parallel.h"
 #include "common/primitives.h"
 #include "common/timer.h"
 #include "data/columnar.h"
@@ -342,15 +343,14 @@ ExactResult ExactExecutor::execute_mapreduce(const AnalyticalQuery& q,
         out_.emit(0, KnnCand{std::sqrt(n.d2), tc.t_of(n.row), tc.u_of(n.row)});
     };
     job.reduce = [k](const int&, std::vector<KnnCand>& cands) {
-      // Candidates arrive in (node, row-rank) order; a stable sort by
-      // distance keeps that order among ties (NaN distances last).
-      std::stable_sort(cands.begin(), cands.end(),
-                       [](const KnnCand& a, const KnnCand& b) {
-                         return distance_rank(a.dist) < distance_rank(b.dist);
-                       });
-      const std::size_t take = std::min(k, cands.size());
+      // Candidates arrive in node order, each node's run ascending by
+      // distance (NaN last): merging the runs, ties to the lower node,
+      // gives the global k nearest in stable-sort order.
       AggregateState agg;
-      for (std::size_t i = 0; i < take; ++i) agg.add(cands[i].t, cands[i].u);
+      visit_merged_runs(
+          std::span<const KnnCand>(cands), k,
+          [](const KnnCand& c) { return distance_rank(c.dist); },
+          [&agg](const KnnCand& c) { agg.add(c.t, c.u); });
       return agg;
     };
     auto mr = run_map_reduce(cluster_, table_, job, coordinator_, deadline,
@@ -443,68 +443,119 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
     examined = cost.points_examined;
     return fold.agg;
   };
+  // Range / radius: prune nodes by partition ranges when possible. kNN
+  // asks every node for its local top-k. Empty partitions are never probed.
+  const bool knn = q.selection == SelectionType::kNearestNeighbors;
+  std::vector<NodeId> shards;
+  const auto& pspec = cluster_.partition_spec(table_);
+  // Node pruning is only sound when the table is range-partitioned on one
+  // of the query's subspace columns.
+  std::size_t part_dim = q.subspace_cols.size();
+  if (!knn && pspec.scheme == Partitioning::kRangeColumn) {
+    for (std::size_t i = 0; i < q.subspace_cols.size(); ++i)
+      if (q.subspace_cols[i] == pspec.partition_column) part_dim = i;
+  }
+  if (part_dim < q.subspace_cols.size()) {
+    if (q.selection == SelectionType::kRange) {
+      shards = cluster_.nodes_for_range(table_, q.range.lo[part_dim],
+                                        q.range.hi[part_dim]);
+    } else {
+      const Rect bb = q.ball.bounding_box();
+      shards = cluster_.nodes_for_range(table_, bb.lo[part_dim],
+                                        bb.hi[part_dim]);
+    }
+  } else {
+    for (std::size_t n = 0; n < cluster_.num_nodes(); ++n)
+      shards.push_back(static_cast<NodeId>(n));
+  }
+  std::erase_if(shards, [&](NodeId n) {
+    return cluster_.partition(table_, n).num_rows() == 0;
+  });
+
+  // Every probe is a pure function of (query, shard) over immutable
+  // indexes and slot-ordered targets, so all of them run as one parallel
+  // region, one cell per shard, before the serial RPC replay below.
+  struct ProbeCell {
+    AggregateState agg;           // range / radius
+    std::vector<KnnCand> cands;   // kNN: local top-k with targets
+    std::uint64_t examined = 0;
+    double ms = 0.0;              // measured probe wall
+  };
+  std::vector<ProbeCell> cells(shards.size());
+  ParallelFor(shards.size(), [&](std::size_t i) {
+    Timer t;
+    const NodeId n = shards[i];
+    const Table& part = cluster_.partition(table_, n);
+    ProbeCell& cell = cells[i];
+    if (knn) {
+      const auto nn = node_knn(n, q.knn_point, q.knn_k, cell.examined);
+      cell.cands.reserve(nn.size());
+      const TargetColumns tc(part, q);
+      for (const auto& [row, dist] : nn) {
+        const auto r = static_cast<std::size_t>(row);
+        cell.cands.push_back(KnnCand{dist, tc.t_of(r), tc.u_of(r)});
+      }
+    } else {
+      cell.agg = node_aggregate(n, part, cell.examined);
+    }
+    cell.ms = t.elapsed_ms();
+  });
+
   CohortSession session(cluster_, coordinator_);
   session.set_deadline(deadline);
   // Request = the query geometry: centre + extents, ~ (2d + 2) doubles.
   const std::size_t req_bytes = (2 * q.subspace_cols.size() + 2) * 8;
+  const std::size_t resp_bytes =
+      knn ? sizeof(KnnCand) * q.knn_k : AggregateState::kWireBytes;
 
-  // Shard `n` is answered by its serving node (primary, or a live replica
-  // holder under failures). A node that flaps *mid-RPC* raises
-  // NodeDownError (a tripped circuit breaker raises it too); the shard is
-  // then re-resolved and re-routed to the next available holder. Replica
-  // exhaustion (ShardUnavailable) propagates to the caller, where the
-  // serving layer degrades to a model-backed answer.
-  const auto rpc_with_reroute = [&](std::size_t shard, auto&& do_rpc) {
+  // Replay, serially and in shard order: shard `n` is answered by its
+  // serving node (primary, or a live replica holder under failures). A
+  // node that flaps *mid-RPC* raises NodeDownError (a tripped circuit
+  // breaker raises it too); the shard is then re-resolved and re-routed to
+  // the next available holder. Replicas hold the same partition, so every
+  // attempt, reroute and hedge returns the same cell and is charged its
+  // measured probe wall as server compute. Replica exhaustion
+  // (ShardUnavailable) propagates to the caller, where the serving layer
+  // degrades to a model-backed answer.
+  std::vector<KnnCand> merged;
+  AggregateState total;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const NodeId n = shards[i];
+    const Table& part = cluster_.partition(table_, n);
+    const ProbeCell& cell = cells[i];
+    const auto probe = [&](NodeId executing) {
+      cluster_.account_probe(executing, 1, cell.examined,
+                             cell.examined * part.row_bytes());
+      session.add_server_compute_ms(cell.ms);
+      return &cell;
+    };
     for (;;) {
-      const NodeId serving = cluster_.serving_node(table_, shard);
+      const NodeId serving = cluster_.serving_node(table_, n);
+      // Backup holder for hedged reads: the next available replica holder
+      // other than the serving node.
+      const NodeId backup = cluster_.backup_node(table_, n, serving);
       try {
-        return do_rpc(serving);
+        session.rpc_to(serving,
+                       backup == ShardPlacementAuthority::kNoHolder
+                           ? CohortSession::kNoBackup
+                           : backup,
+                       req_bytes, resp_bytes, probe);
+        break;
       } catch (const NodeDownError& e) {
         session.note_reroute();
         if (obs::Tracer* tr = cluster_.tracer())
           tr->event("reroute", "rpc", static_cast<std::int64_t>(e.node));
       }
     }
-  };
-  // Backup holder for hedged reads: the next available replica holder of
-  // `shard` other than the serving node (kNoBackup when there is none).
-  const auto backup_for = [&](std::size_t shard, NodeId serving) -> NodeId {
-    const NodeId backup = cluster_.backup_node(table_, shard, serving);
-    return backup == ShardPlacementAuthority::kNoHolder
-               ? CohortSession::kNoBackup
-               : backup;
-  };
-
-  if (q.selection == SelectionType::kNearestNeighbors) {
-    // Each cohort node returns its local top-k (from its k-d tree); the
-    // coordinator merges to the global k.
-    std::vector<KnnCand> merged;
-    for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-      const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-      if (part.num_rows() == 0) continue;  // empty partitions never probed
-      const std::size_t resp_bytes = sizeof(KnnCand) * q.knn_k;
-      auto local = rpc_with_reroute(n, [&](NodeId serving) {
-        return session.rpc_to(
-            serving, backup_for(n, serving), req_bytes, resp_bytes,
-            [&](NodeId executing) {
-              std::uint64_t examined = 0;
-              auto nn = node_knn(n, q.knn_point, q.knn_k, examined);
-              cluster_.account_probe(executing, 1, examined,
-                                     examined * part.row_bytes());
-              std::vector<KnnCand> cands;
-              cands.reserve(nn.size());
-              const TargetColumns tc(part, q);
-              for (const auto& [row, dist] : nn) {
-                const auto r = static_cast<std::size_t>(row);
-                cands.push_back(KnnCand{dist, tc.t_of(r), tc.u_of(r)});
-              }
-              return cands;
-            });
-      });
-      merged.insert(merged.end(), local.begin(), local.end());
-    }
+    if (knn)
+      merged.insert(merged.end(), cell.cands.begin(), cell.cands.end());
+    else
+      total.merge(cell.agg);
+  }
+  if (knn) {
+    // The coordinator merges the local top-k lists to the global k.
     const std::size_t take = std::min<std::size_t>(q.knn_k, merged.size());
-    AggregateState total = session.local([&] {
+    total = session.local([&] {
       std::partial_sort(merged.begin(),
                         merged.begin() + static_cast<std::ptrdiff_t>(take),
                         merged.end(), [](const KnnCand& a, const KnnCand& b) {
@@ -515,54 +566,6 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
         agg.add(merged[i].t, merged[i].u);
       return agg;
     });
-    out.answer = total.finalize(q.analytic);
-    out.state = total;
-    out.qualifying_tuples = total.count;
-    out.report = session.take_report();
-    return out;
-  }
-
-  // Range / radius: prune nodes by partition ranges when possible, then
-  // surgical k-d probes; only aggregate states return.
-  std::vector<NodeId> nodes;
-  const auto& pspec = cluster_.partition_spec(table_);
-  // Node pruning is only sound when the table is range-partitioned on one
-  // of the query's subspace columns.
-  std::size_t part_dim = q.subspace_cols.size();
-  if (pspec.scheme == Partitioning::kRangeColumn) {
-    for (std::size_t i = 0; i < q.subspace_cols.size(); ++i)
-      if (q.subspace_cols[i] == pspec.partition_column) part_dim = i;
-  }
-  if (part_dim < q.subspace_cols.size()) {
-    if (q.selection == SelectionType::kRange) {
-      nodes = cluster_.nodes_for_range(table_, q.range.lo[part_dim],
-                                       q.range.hi[part_dim]);
-    } else {
-      const Rect bb = q.ball.bounding_box();
-      nodes = cluster_.nodes_for_range(table_, bb.lo[part_dim],
-                                       bb.hi[part_dim]);
-    }
-  } else {
-    for (std::size_t n = 0; n < cluster_.num_nodes(); ++n)
-      nodes.push_back(static_cast<NodeId>(n));
-  }
-
-  AggregateState total;
-  for (const NodeId n : nodes) {
-    const Table& part = cluster_.partition(table_, n);
-    if (part.num_rows() == 0) continue;  // empty partitions never probed
-    AggregateState node_agg = rpc_with_reroute(n, [&](NodeId serving) {
-      return session.rpc_to(
-          serving, backup_for(n, serving), req_bytes,
-          AggregateState::kWireBytes, [&](NodeId executing) {
-            std::uint64_t examined = 0;
-            AggregateState agg = node_aggregate(n, part, examined);
-            cluster_.account_probe(executing, 1, examined,
-                                   examined * part.row_bytes());
-            return agg;
-          });
-    });
-    total.merge(node_agg);
   }
   out.answer = total.finalize(q.analytic);
   out.state = total;

@@ -5,11 +5,13 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace sea {
@@ -250,66 +252,125 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(t.elapsed_ms(), 0.0);
 }
 
-TEST(ThreadPool, ParallelForRunsAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+// --- The fork-join runtime behind ParallelFor / ParallelChunks ---
+
+/// Runs `f` with `threads` threads doing region work, then back to serial.
+template <typename F>
+void with_threads(std::size_t threads, F&& f) {
+  set_configured_threads(threads);
+  f();
+  set_configured_threads(0);
 }
 
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3)
-                                     throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
+TEST(ParallelRuntime, EveryIndexRunsOnce) {
+  for (const std::size_t threads : {2, 3, 8}) {
+    with_threads(threads, [] {
+      for (const std::size_t n : {1, 2, 7, 64, 1000}) {
+        std::vector<std::atomic<int>> hits(n);
+        ParallelFor(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+      }
+    });
+  }
 }
 
-TEST(ThreadPool, SubmitReturnsFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] {});
-  f.get();  // must not hang
-  SUCCEED();
+TEST(ParallelRuntime, PropagatesExceptions) {
+  with_threads(2, [] {
+    EXPECT_THROW(ParallelFor(8,
+                             [](std::size_t i) {
+                               if (i == 3) throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+  });
 }
 
-TEST(ThreadPool, ParallelForManyConcurrentFailures) {
-  // Half the tasks throw, from multiple workers at once; parallel_for must
-  // still run every task, rethrow exactly one error, and leave the pool
-  // usable afterwards.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(32);
-  EXPECT_THROW(pool.parallel_for(32,
-                                 [&](std::size_t i) {
-                                   hits[i].fetch_add(1);
-                                   if (i % 2 == 0)
-                                     throw std::runtime_error("boom " +
-                                                              std::to_string(i));
-                                 }),
-               std::runtime_error);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  std::atomic<int> ok{0};
-  pool.parallel_for(8, [&](std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 8);
+TEST(ParallelRuntime, FirstExceptionWinsWhenManyTasksFail) {
+  // Half the tasks throw, from several threads at once. Every task still
+  // runs, the lowest failing index's error is the one rethrown at every
+  // thread count, and the runtime stays usable afterwards.
+  for (const std::size_t threads : {1, 4, 8}) {
+    with_threads(threads, [] {
+      std::vector<std::atomic<int>> hits(32);
+      std::string what;
+      try {
+        ParallelFor(32, [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          if (i % 2 == 1)
+            throw std::runtime_error("boom " + std::to_string(i));
+        });
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      EXPECT_EQ(what, "boom 1");
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+      std::atomic<int> ok{0};
+      ParallelFor(8, [&](std::size_t) { ok.fetch_add(1); });
+      EXPECT_EQ(ok.load(), 8);
+      EXPECT_FALSE(in_parallel_region());
+    });
+  }
 }
 
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
+TEST(ParallelRuntime, NestedRegionsRunInline) {
+  with_threads(3, [] {
+    std::vector<std::atomic<int>> hits(8 * 8);
+    ParallelFor(8, [&](std::size_t i) {
+      EXPECT_TRUE(in_parallel_region());
+      // One inline chunk on this thread: the whole range at once.
+      ParallelChunks(8, [&](std::size_t begin, std::size_t end) {
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 8u);
+        for (std::size_t j = begin; j < end; ++j) hits[i * 8 + j].fetch_add(1);
+      });
+    });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_FALSE(in_parallel_region());
+  });
+}
+
+TEST(ParallelRuntime, RegionsFromTwoThreadsComplete) {
+  // Two std::threads issue regions at once: one runs on the workers, the
+  // other inline, and both see every index exactly once.
+  with_threads(4, [] {
+    constexpr std::size_t kRounds = 200;
+    std::vector<std::atomic<int>> a(kRounds * 16), b(kRounds * 16);
+    const auto issue = [](std::vector<std::atomic<int>>& hits) {
+      for (std::size_t r = 0; r < kRounds; ++r)
+        ParallelFor(16, [&](std::size_t i) { hits[r * 16 + i].fetch_add(1); });
+    };
+    std::thread ta([&] { issue(a); });
+    std::thread tb([&] { issue(b); });
+    ta.join();
+    tb.join();
+    for (auto& h : a) EXPECT_EQ(h.load(), 1);
+    for (auto& h : b) EXPECT_EQ(h.load(), 1);
+  });
+}
+
+TEST(ParallelRuntime, RebuildsAfterTeardown) {
+  // set_configured_threads joins the workers; the next region restarts
+  // them at the new count and runs all of its work.
+  for (const std::size_t threads : {2, 8, 1, 3, 2}) {
+    set_configured_threads(threads);
+    EXPECT_EQ(configured_threads(), threads);
+    std::atomic<int> ran{0};
+    ParallelFor(40, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 40);
+  }
+  set_configured_threads(0);
+  EXPECT_EQ(configured_threads(), 1u);
+}
+
+TEST(ParallelRuntime, RepeatedTeardownIsHarmless) {
+  set_configured_threads(4);
+  set_configured_threads(4);  // no region ran: nothing to join
   std::atomic<int> ran{0};
-  auto f = pool.submit([&] { ran.fetch_add(1); });
-  pool.shutdown();
-  f.get();  // queued work drains before the workers exit
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  EXPECT_THROW(pool.parallel_for(4, [](std::size_t) {}), std::runtime_error);
-}
-
-TEST(ThreadPool, ShutdownIsIdempotent) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  pool.shutdown();  // second call must be a harmless no-op
-  EXPECT_EQ(pool.size(), 0u);
+  ParallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
+  set_configured_threads(4);
+  set_configured_threads(4);  // second teardown in a row is a no-op
+  ParallelFor(8, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 16);
+  set_configured_threads(0);
 }
 
 }  // namespace

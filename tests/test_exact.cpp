@@ -641,5 +641,56 @@ TEST_P(ExactMapDiff, FusedMapsMatchBranchyReference) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, ExactMapDiff, ::testing::Values(1, 2, 3, 5));
 
+// The MapReduce kNN reduce merges the per-node runs instead of stable
+// sorting them. Tie-heavy data: the same lattice points (one in eight
+// NaN, so NaN distances) land in all eight partitions with different
+// targets, so every distance ties across nodes and the fold order decides
+// the bits. The state must equal the stable-sort reference byte for byte.
+TEST(ExactMapReduce, KnnReduceMergeMatchesStableSortOnCrossNodeTies) {
+  constexpr std::size_t kNodes = 8;
+  Rng rng(515);
+  std::vector<std::vector<double>> cols(4);
+  for (std::size_t p = 0; p < 60; ++p) {
+    const bool nan = rng.uniform_index(8) == 0;
+    const auto coord = [&] {
+      return nan ? std::nan("")
+                 : 0.25 * static_cast<double>(rng.uniform_index(5));
+    };
+    const double x = coord();
+    const double y = coord();
+    // Round-robin partitioning puts one copy on each node.
+    for (std::size_t copy = 0; copy < kNodes; ++copy) {
+      cols[0].push_back(x);
+      cols[1].push_back(y);
+      cols[2].push_back(rng.uniform(-1.0, 1.0));
+      cols[3].push_back(rng.uniform(-1.0, 1.0));
+    }
+  }
+  const Table t =
+      Table::from_columns(Schema({"x", "y", "t", "u"}), std::move(cols));
+  Cluster c = testing::make_cluster(t, "t", kNodes);
+  ExactExecutor exec(c, "t");
+  for (const AnalyticType an :
+       {AnalyticType::kSum, AnalyticType::kAvg, AnalyticType::kCorrelation}) {
+    for (const std::size_t k : {1, 5, 30, 59, 60, 61, 200, 480, 500}) {
+      AnalyticalQuery q;
+      q.selection = SelectionType::kNearestNeighbors;
+      q.analytic = an;
+      q.subspace_cols = {0, 1};
+      q.target_col = 2;
+      q.target_col2 = 3;
+      q.knn_point = {0.5, 0.25};
+      q.knn_k = k;
+      SCOPED_TRACE(q.describe());
+      std::size_t shuffled = 0;
+      AggregateState want;
+      want.merge(naive_knn(c, q, shuffled));
+      const ExactResult r = exec.execute(q, ExecParadigm::kMapReduce);
+      EXPECT_TRUE(same_state(r.state, want));
+      EXPECT_EQ(r.qualifying_tuples, std::min<std::size_t>(k, t.num_rows()));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sea

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -189,6 +191,134 @@ TEST(MapReduceDeterminism, WallClockIsMeasuredSeparatelyFromModel) {
   ExecReport copy = out.report;
   copy.wall_ms = 0.0;
   EXPECT_EQ(copy.makespan_ms(), out.report.makespan_ms());
+}
+
+// --- Indexed exact execution: one parallel probe cell per shard ---
+
+enum class IndexedScenario { kClean, kHedged, kFlap };
+
+/// Answer bits, state bytes and every ExecReport column except the
+/// measured ms, for range/radius/kNN x COUNT/AVG/CORR on the k-d, grid and
+/// learned paths, plus the cluster's probe counters at the end.
+std::vector<std::uint64_t> run_indexed(std::size_t threads,
+                                       IndexedScenario scenario) {
+  set_configured_threads(threads);
+  const Table table = small_dataset(6000, 3, 31);
+  PartitionSpec spec;
+  spec.replicas = 2;
+  Cluster cluster = make_cluster(table, "t", 8, spec);
+  FaultPlan plan;
+  plan.seed = 29;
+  if (scenario == IndexedScenario::kHedged) {
+    HedgeConfig hc;
+    hc.enabled = true;
+    hc.quantile = 0.9;
+    hc.multiplier = 1.2;
+    hc.min_samples = 2;  // a fresh session per query: arm within it
+    cluster.set_hedge_config(hc);
+    plan.spike_probability = 0.2;
+    plan.spike_multiplier = 20.0;
+  } else if (scenario == IndexedScenario::kFlap) {
+    plan.flaps = {{3, 3, 6}, {5, 46, 52}};  // down mid-query, then back
+  }
+  FaultInjector inj(plan);
+  if (scenario != IndexedScenario::kClean) inj.attach(cluster);
+  ExactExecutor exec(cluster, "t");
+  std::vector<std::uint64_t> out;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const ExecParadigm p :
+       {ExecParadigm::kCoordinatorIndexed, ExecParadigm::kCoordinatorGrid,
+        ExecParadigm::kCoordinatorLearned}) {
+    for (const SelectionType sel :
+         {SelectionType::kRange, SelectionType::kRadius,
+          SelectionType::kNearestNeighbors}) {
+      for (const AnalyticType an : {AnalyticType::kCount, AnalyticType::kAvg,
+                                    AnalyticType::kCorrelation}) {
+        AnalyticalQuery q;
+        q.selection = sel;
+        q.analytic = an;
+        q.subspace_cols = {0, 1};
+        q.target_col = 3;
+        q.target_col2 = 2;
+        q.range = Rect{{0.2, 0.1}, {0.7, 0.8}};
+        q.ball = Ball{{0.45, 0.5}, 0.25};
+        q.knn_point = {0.4, 0.6};
+        q.knn_k = 40;
+        const ExactResult r = exec.execute(q, p);
+        std::uint64_t state[sizeof(AggregateState) / 8];
+        std::memcpy(state, &r.state, sizeof(state));
+        out.insert(out.end(), std::begin(state), std::end(state));
+        const ExecReport& e = r.report;
+        out.insert(out.end(),
+                   {bits(r.answer), r.qualifying_tuples,
+                    bits(e.modelled_network_ms),
+                    bits(e.modelled_network_ms_critical),
+                    bits(e.modelled_overhead_ms), e.shuffle_bytes,
+                    e.result_bytes, e.map_tasks, e.reduce_tasks,
+                    e.rpc_round_trips, e.retries, e.dropped_messages,
+                    e.tasks_rerouted, bits(e.modelled_backoff_ms),
+                    e.retry_budget_exhausted, e.hedged_rpcs, e.hedges_won,
+                    e.breaker_fast_fails, e.recoveries,
+                    e.shard_restore_bytes});
+      }
+    }
+  }
+  if (scenario != IndexedScenario::kClean) inj.detach(cluster);
+  const AccessStats& a = cluster.stats();
+  out.insert(out.end(), {a.tasks, a.node_touches, a.rows_scanned,
+                         a.bytes_read, a.index_probes,
+                         bits(a.modelled_overhead_ms)});
+  set_configured_threads(0);
+  return out;
+}
+
+/// run_indexed's per-execution record: the state words, then 20 values
+/// (answer, qualifying tuples, then the ExecReport columns in order).
+constexpr std::size_t kStateWords = sizeof(AggregateState) / 8;
+constexpr std::size_t kRecordWords = kStateWords + 20;
+constexpr std::size_t kReroutedColumn = 12;  // ExecReport::tasks_rerouted
+constexpr std::size_t kHedgedColumn = 15;    // ExecReport::hedged_rpcs
+
+/// Sum of one record column over all 27 executions.
+std::uint64_t indexed_column_sum(const std::vector<std::uint64_t>& run,
+                                 std::size_t column) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i + kRecordWords <= run.size(); i += kRecordWords)
+    sum += run[i + kStateWords + column];
+  return sum;
+}
+
+// Every probe is a pure function of (query, shard), so computing them all
+// as one parallel region before the serial RPC replay changes no answer
+// bit, modelled column or counter at any SEA_THREADS; under hedged reads
+// and a mid-query flap every replica the replay reaches returns the same
+// cell, so the answers equal the fault-free ones.
+TEST(IndexedDeterminism, ProbeCellsAreThreadCountInvariant) {
+  const auto clean = run_indexed(1, IndexedScenario::kClean);
+  for (const IndexedScenario s :
+       {IndexedScenario::kClean, IndexedScenario::kHedged,
+        IndexedScenario::kFlap}) {
+    SCOPED_TRACE(static_cast<int>(s));
+    const auto serial = run_indexed(1, s);
+    EXPECT_EQ(serial, run_indexed(2, s));
+    EXPECT_EQ(serial, run_indexed(8, s));
+    // State bytes, answer and qualifying tuples match the clean run.
+    ASSERT_EQ(serial.size(), clean.size());
+    for (std::size_t i = 0; i + kRecordWords <= serial.size();
+         i += kRecordWords)
+      EXPECT_TRUE(std::equal(serial.begin() + i,
+                             serial.begin() + i + kStateWords + 2,
+                             clean.begin() + i))
+          << "execution " << i / kRecordWords;
+  }
+  EXPECT_GT(indexed_column_sum(run_indexed(1, IndexedScenario::kHedged),
+                               kHedgedColumn),
+            0u)
+      << "spikes must trigger hedged reads";
+  EXPECT_GT(indexed_column_sum(run_indexed(1, IndexedScenario::kFlap),
+                               kReroutedColumn),
+            0u)
+      << "the flaps must reroute RPCs";
 }
 
 // --- Index builds: serial and parallel structures answer identically ---

@@ -699,6 +699,68 @@ TEST(ColumnarKernels, NearestRowsRankNaNDistancesLast) {
                std::invalid_argument);
 }
 
+// visit_merged_runs against the stable sort it replaces in the MapReduce
+// kNN reduce: per-partition nearest_rows lists of a duplicate lattice
+// copied into every partition (each distance tied across all partitions),
+// with NaN coordinates (NaN distances), concatenated in partition order;
+// plus random unsorted inputs whose runs are cut at every descent. The
+// visited prefix must be the stable sort's, element for element, for k
+// from 0 to past the input size.
+TEST(ColumnarKernels, MergedRunsMatchStableSort) {
+  struct Cand {
+    std::uint64_t rank;
+    std::uint32_t id;  // position in the input: tells tied ranks apart
+  };
+  const auto check = [](const std::vector<Cand>& items) {
+    std::vector<Cand> sorted = items;
+    std::stable_sort(
+        sorted.begin(), sorted.end(),
+        [](const Cand& a, const Cand& b) { return a.rank < b.rank; });
+    for (std::size_t k = 0; k <= items.size() + 2; ++k) {
+      std::vector<std::uint32_t> got;
+      visit_merged_runs(std::span<const Cand>(items), k,
+                        [](const Cand& c) { return c.rank; },
+                        [&](const Cand& c) { got.push_back(c.id); });
+      std::vector<std::uint32_t> want;
+      for (std::size_t i = 0; i < std::min(k, sorted.size()); ++i)
+        want.push_back(sorted[i].id);
+      ASSERT_EQ(got, want) << "k=" << k << " n=" << items.size();
+    }
+  };
+  const std::vector<std::size_t> cols{0, 1};
+  Rng rng(101);
+  for (std::size_t parts = 1; parts <= 8; ++parts) {
+    // A 5 x 5 lattice, one NaN row in about eight, copied into each part.
+    std::vector<std::vector<double>> xy(2);
+    for (std::size_t r = 0; r < 40; ++r) {
+      const bool nan = rng.uniform_index(8) == 0;
+      for (auto& col : xy)
+        col.push_back(nan ? std::nan("")
+                          : 0.25 * static_cast<double>(rng.uniform_index(5)));
+    }
+    const Table part = Table::from_columns(Schema({"x", "y"}), xy);
+    for (const std::size_t k : {1, 7, 25, 40, 60}) {
+      std::vector<Cand> items;
+      std::vector<NearRow> nearest;
+      for (std::size_t p = 0; p < parts; ++p) {
+        nearest_rows(part, cols, Point{0.5, 0.25}, k, nearest);
+        for (const NearRow& n : nearest)
+          items.push_back({distance_rank(std::sqrt(n.d2)),
+                           static_cast<std::uint32_t>(items.size())});
+      }
+      check(items);
+    }
+  }
+  for (std::size_t trial = 0; trial < 200; ++trial) {
+    std::vector<Cand> items(rng.uniform_index(40));
+    for (std::size_t i = 0; i < items.size(); ++i)
+      items[i] = {rng.uniform_index(4) == 0 ? ~std::uint64_t{0}
+                                            : rng.uniform_index(6),
+                  static_cast<std::uint32_t>(i)};
+    check(items);
+  }
+}
+
 // A fold over visit_range's blocks adds the selected values in row order:
 // bit-equal to a serial left fold over the row scan's selection, at any
 // thread count.
