@@ -137,14 +137,17 @@ void nearest_rows(const Table& table, std::span<const std::size_t> cols,
 /// items) ascending by rank(item), in that order, without sorting: `items`
 /// is a concatenation of runs that each ascend by rank (one nearest_rows
 /// list per partition), merged with ties to the earlier run. Runs are cut
-/// at every descent, so any input visits the stable sort's prefix.
+/// at every descent, so any input visits the stable sort's prefix. The
+/// run list is a per-thread buffer, so a call allocates nothing once warm
+/// (and `visit` must not call visit_merged_runs again).
 template <typename T, typename Rank, typename Visit>
 void visit_merged_runs(std::span<const T> items, std::size_t k, Rank&& rank,
                        Visit&& visit) {
   struct Run {
     std::size_t pos, end;
   };
-  std::vector<Run> runs;
+  thread_local std::vector<Run> runs;
+  runs.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i == 0 || rank(items[i]) < rank(items[i - 1]))
       runs.push_back({i, i + 1});
