@@ -27,7 +27,6 @@
 #include "index/bloom.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
-#include "index/learned.h"
 #include "index/score_index.h"
 #include "ml/gbm.h"
 #include "ml/linear.h"
@@ -905,10 +904,10 @@ void run_learned_sweep(BenchJsonWriter& json) {
       };
 
       const double lg_build = best_of_ms(reps, [&] {
-        LearnedGrid g(pts, domain, 64);
+        GridIndex g(pts, domain, 64, CellPlacement::kLearned);
         benchmark::DoNotOptimize(g.num_cells());
       });
-      const LearnedGrid lgrid(pts, domain, 64);
+      const GridIndex lgrid(pts, domain, 64, CellPlacement::kLearned);
       std::size_t hits = 0;
       const double lg_lookup = best_of_ms(reps, [&] {
         hits = 0;
@@ -1032,7 +1031,7 @@ int run_perf_smoke() {
     const Rect domain{{0, 0}, {1, 1}};
     set_configured_threads(1);
     const double lg_1t = best_of_ms(kReps, [&] {
-      LearnedGrid g(pts, domain, 64);
+      GridIndex g(pts, domain, 64, CellPlacement::kLearned);
       benchmark::DoNotOptimize(g.num_cells());
     });
     const double ug_ms = best_of_ms(kReps, [&] {
@@ -1041,10 +1040,10 @@ int run_perf_smoke() {
     });
     set_configured_threads(2);
     const double lg_2t = best_of_ms(kReps, [&] {
-      LearnedGrid g(pts, domain, 64);
+      GridIndex g(pts, domain, 64, CellPlacement::kLearned);
       benchmark::DoNotOptimize(g.num_cells());
     });
-    const LearnedGrid lgrid(pts, domain, 64);
+    const GridIndex lgrid(pts, domain, 64, CellPlacement::kLearned);
     const GridIndex ugrid(pts, domain, 64);
     bool grid_same = true;
     Rng qrng(54);
@@ -1284,7 +1283,12 @@ int run_perf_smoke() {
     const bool same = std::memcmp(&s1, &s2, sizeof(AggregateState)) == 0;
     const double fanout = fan_2t > 0.0 ? fan_1t / fan_2t : 0.0;
     const bool pass = same && fanout >= kMinFanout;
+    // The CPU the 2-thread runtime pinned its worker to (-1 = unpinned).
+    std::string cpus;
+    for (const int cpu : worker_cpus())
+      cpus += (cpus.empty() ? "" : ",") + std::to_string(cpu);
     json.begin("smoke_kd_probe_fanout");
+    json.str("worker_cpus", cpus);
     json.num("n", static_cast<std::uint64_t>(kRows));
     json.num("shards", std::uint64_t{8});
     json.num("qualifying", s1.count);
@@ -1295,10 +1299,10 @@ int run_perf_smoke() {
     json.num("answers_match", std::uint64_t{same ? 1u : 0u});
     json.num("pass", std::uint64_t{pass ? 1u : 0u});
     std::printf("%-26s %10.3f %10.3f %10s %7.2f %6s  (1t/2t, gate >= %.1fx, "
-                "%llu tuples)\n",
+                "%llu tuples, worker on CPU %s)\n",
                 "kd_probe_fanout", fan_1t, fan_2t, "-", fanout,
                 pass ? "ok" : "FAIL", kMinFanout,
-                static_cast<unsigned long long>(s1.count));
+                static_cast<unsigned long long>(s1.count), cpus.c_str());
     if (!pass) ok = false;
   }
 

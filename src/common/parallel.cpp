@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include <pthread.h>
+#include <sched.h>
+
 namespace sea {
 
 namespace {
@@ -73,17 +76,41 @@ bool spin_until(Ready&& ready) {
   }
 }
 
+/// The CPUs of the calling thread's affinity mask, ascending, with the
+/// CPU it runs on moved last; empty when the mask holds one CPU.
+std::vector<int> worker_cpu_order() {
+  std::vector<int> cpus;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return cpus;
+  const int self = sched_getcpu();
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &mask) && c != self) cpus.push_back(c);
+  if (self >= 0 && CPU_ISSET(self, &mask)) cpus.push_back(self);
+  if (cpus.size() < 2) cpus.clear();
+  return cpus;
+}
+
 /// Fork-join region runtime: `threads - 1` persistent workers plus the
 /// calling thread claim the chunks of one region at a time from a single
 /// atomic word. Idle workers spin for kSpin, then sleep until the next
 /// region is published.
+///
+/// Worker i is pinned to the i-th CPU of worker_cpu_order(), round-robin
+/// when there are more workers than CPUs: a host that does not balance
+/// threads across CPUs would otherwise leave every new worker on its
+/// creator's CPU, and the region would run no faster than serially.
 class Runtime {
  public:
   explicit Runtime(std::size_t threads) {
     workers_.reserve(threads - 1);
+    const std::vector<int> cpus = worker_cpu_order();
     try {
-      for (std::size_t i = 1; i < threads; ++i)
+      for (std::size_t i = 1; i < threads; ++i) {
         workers_.emplace_back([this] { worker_loop(); });
+        const int cpu = cpus.empty() ? -1 : cpus[(i - 1) % cpus.size()];
+        worker_cpus_.push_back(pin(workers_.back(), cpu) ? cpu : -1);
+      }
     } catch (...) {
       stop_and_join();  // the workers already started
       throw;
@@ -91,6 +118,9 @@ class Runtime {
   }
 
   ~Runtime() { stop_and_join(); }
+
+  /// The CPU each worker is pinned to, -1 where it is not.
+  const std::vector<int>& worker_cpus() const noexcept { return worker_cpus_; }
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -133,6 +163,15 @@ class Runtime {
   }
 
  private:
+  /// Pins `t` to `cpu` (none when negative); true when it is pinned.
+  static bool pin(std::thread& t, int cpu) {
+    if (cpu < 0) return false;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    return pthread_setaffinity_np(t.native_handle(), sizeof(set), &set) == 0;
+  }
+
   void stop_and_join() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -220,6 +259,7 @@ class Runtime {
   std::condition_variable done_cv_;
   std::atomic<int> sleepers_{0};
   std::atomic<bool> caller_waiting_{false};
+  std::vector<int> worker_cpus_;
   std::vector<std::thread> workers_;  // last: joined before the rest dies
 };
 
@@ -257,6 +297,11 @@ void set_configured_threads(std::size_t threads) {
 }
 
 bool in_parallel_region() noexcept { return t_in_parallel_region; }
+
+std::vector<int> worker_cpus() {
+  std::lock_guard<std::mutex> lock(g_mutex);
+  return g_runtime ? g_runtime->worker_cpus() : std::vector<int>{};
+}
 
 void ParallelChunks(std::size_t n, const Body& body) {
   if (n == 0) return;

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 namespace sea {
 
@@ -35,6 +36,10 @@ void set_configured_threads(std::size_t threads);
 /// True while the calling thread runs a ParallelFor/ParallelChunks body on
 /// the worker runtime; nested parallel calls run inline.
 bool in_parallel_region() noexcept;
+
+/// The CPU each worker of the running runtime is pinned to (-1 where it
+/// is not); empty before the first parallel region at the current count.
+std::vector<int> worker_cpus();
 
 /// Runs fn(i) for every i in [0, n). Indices are processed in contiguous
 /// chunks; chunk boundaries depend only on n and the configured thread

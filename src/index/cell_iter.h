@@ -1,7 +1,8 @@
-// Cross-product iterator over per-dimension cell-coordinate ranges,
-// shared by the uniform GridIndex and the CDF-learned LearnedGrid (both
-// visit the same rectangular block of cells; only how values map to
-// coordinates differs).
+// Cross-product iterator over per-dimension cell-coordinate ranges: the
+// order in which GridIndex visits the rectangular block of cells a query
+// box covers, under either cell placement (the placement only maps values
+// to coordinates). GridIndex's visitors are templates, so it lives in a
+// header of its own.
 #pragma once
 
 #include <cstddef>

@@ -8,6 +8,7 @@
 
 #include "common/parallel.h"
 #include "common/select.h"
+#include "data/columnar.h"
 #include "data/table.h"
 
 namespace sea {
@@ -354,18 +355,29 @@ std::vector<std::pair<std::uint64_t, double>> KdTree::knn(
   if (query.size() != dims_)
     throw std::invalid_argument("KdTree::knn: dimension mismatch");
 
-  // Max-heap of (distance^2, id) of current best k.
-  using Entry = std::pair<double, std::uint64_t>;
+  // Max-heap of the best k so far by (distance_rank(d2), id): the k
+  // smallest under that total order, NaN distances last and ties to the
+  // lower id, as nearest_rows ranks a partition's rows.
+  struct Entry {
+    std::uint64_t rank;
+    std::uint64_t id;
+    double d2;
+    bool operator<(const Entry& o) const noexcept {
+      return rank != o.rank ? rank < o.rank : id < o.id;
+    }
+  };
   std::priority_queue<Entry> best;
 
-  // Best-first traversal ordered by node min-distance.
+  // Best-first traversal ordered by node min-distance. A node whose bound
+  // ranks above the k-th best holds no better point; one that ties it may
+  // hold a lower id.
   using Frontier = std::pair<double, std::uint32_t>;
   std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>> frontier;
   frontier.emplace(min_squared_distance(0, query.data()), 0);
   while (!frontier.empty()) {
     const auto [min_d2, idx] = frontier.top();
     frontier.pop();
-    if (best.size() == k && min_d2 > best.top().first) break;
+    if (best.size() == k && distance_rank(min_d2) > best.top().rank) break;
     const Node& n = nodes_[idx];
     if (cost) ++cost->nodes_visited;
     if (n.right == 0) {
@@ -373,24 +385,25 @@ std::vector<std::pair<std::uint64_t, double>> KdTree::knn(
         if (cost) ++cost->points_examined;
         const double d2 =
             squared_distance(query, std::span<const double>(point(s), dims_));
+        const Entry e{distance_rank(d2), ids_[s], d2};
         if (best.size() < k) {
-          best.emplace(d2, ids_[s]);
-        } else if (d2 < best.top().first) {
+          best.push(e);
+        } else if (e < best.top()) {
           best.pop();
-          best.emplace(d2, ids_[s]);
+          best.push(e);
         }
       }
     } else {
       for (const std::uint32_t child : {idx + 1, n.right}) {
         const double d2 = min_squared_distance(child, query.data());
-        if (best.size() < k || d2 <= best.top().first)
+        if (best.size() < k || distance_rank(d2) <= best.top().rank)
           frontier.emplace(d2, child);
       }
     }
   }
   result.reserve(best.size());
   while (!best.empty()) {
-    result.emplace_back(best.top().second, std::sqrt(best.top().first));
+    result.emplace_back(best.top().id, std::sqrt(best.top().d2));
     best.pop();
   }
   std::reverse(result.begin(), result.end());

@@ -99,8 +99,9 @@ class KdTree {
   std::vector<std::uint64_t> radius_query(const Ball& ball,
                                           KdQueryCost* cost = nullptr) const;
 
-  /// The k nearest neighbours of `query` as (id, distance), ascending by
-  /// distance. Returns fewer when the tree holds fewer points.
+  /// The k nearest neighbours of `query` as (id, distance): the k
+  /// smallest by (distance_rank, id) — ties to the lower id, NaN distances
+  /// last — ascending. Returns fewer when the tree holds fewer points.
   std::vector<std::pair<std::uint64_t, double>> knn(
       std::span<const double> query, std::size_t k,
       KdQueryCost* cost = nullptr) const;

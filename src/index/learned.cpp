@@ -2,12 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <stdexcept>
-
-#include "common/parallel.h"
-#include "common/primitives.h"
-#include "index/cell_iter.h"
 
 namespace sea {
 
@@ -60,210 +54,6 @@ double LearnedCdf::inverse(double u) const noexcept {
   const auto j = std::min(static_cast<std::size_t>(x), k - 1);
   const double t = x - static_cast<double>(j);
   return knots_[j] + t * (knots_[j + 1] - knots_[j]);
-}
-
-// ---------------------------------------------------------------------------
-// LearnedGrid
-// ---------------------------------------------------------------------------
-
-LearnedGrid::LearnedGrid(std::vector<Point> points, Rect domain,
-                         std::size_t cells_per_dim,
-                         std::vector<std::uint64_t> ids)
-    : points_(std::move(points)),
-      ids_(std::move(ids)),
-      domain_(std::move(domain)),
-      cells_per_dim_(cells_per_dim) {
-  if (!domain_.valid() || domain_.dims() == 0)
-    throw std::invalid_argument("LearnedGrid: invalid domain");
-  if (cells_per_dim_ == 0)
-    throw std::invalid_argument("LearnedGrid: cells_per_dim must be > 0");
-  double total = 1.0;
-  for (std::size_t d = 0; d < domain_.dims(); ++d) {
-    total *= static_cast<double>(cells_per_dim_);
-    if (total > 1e8)
-      throw std::invalid_argument("LearnedGrid: too many cells; reduce "
-                                  "cells_per_dim or dimensionality");
-  }
-  if (ids_.empty()) {
-    ids_.resize(points_.size());
-    std::iota(ids_.begin(), ids_.end(), 0);
-  }
-  if (ids_.size() != points_.size())
-    throw std::invalid_argument("LearnedGrid: ids/points size mismatch");
-  const std::size_t n = points_.size();
-  ParallelChunks(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      if (points_[i].size() != domain_.dims())
-        throw std::invalid_argument(
-            "LearnedGrid: point dimensionality mismatch");
-  });
-
-  // Learn one CDF per dimension from the data itself (not the domain):
-  // cell boundaries land at equal learned mass, so skewed blobs spread
-  // over many cells and empty space collapses into few.
-  cdfs_.resize(domain_.dims());
-  std::vector<double> col(n);
-  for (std::size_t d = 0; d < domain_.dims(); ++d) {
-    ParallelChunks(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) col[i] = points_[i][d];
-    });
-    cdfs_[d] = LearnedCdf(col, std::min<std::size_t>(64, cells_per_dim_ * 4));
-  }
-
-  // CSR cell table via the stable parallel counting sort, exactly like
-  // GridIndex — bit-identical at any SEA_THREADS.
-  std::vector<std::uint32_t> cell_idx(n);
-  ParallelChunks(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      cell_idx[i] = static_cast<std::uint32_t>(cell_of(points_[i]));
-  });
-  par::CountingSort cs =
-      par::counting_sort(cell_idx, static_cast<std::size_t>(total));
-  cell_offsets_ = std::move(cs.offsets);
-  cell_points_ = std::move(cs.order);
-}
-
-std::size_t LearnedGrid::cell_coord(double v, std::size_t dim) const noexcept {
-  // The CDF maps NaN to 0; a NaN from its interpolation (infinite knots)
-  // lands in cell 0 too, with no out-of-range conversion.
-  const double x = cdfs_[dim](v) * static_cast<double>(cells_per_dim_);
-  if (!(x >= 1.0)) return 0;
-  if (x >= static_cast<double>(cells_per_dim_)) return cells_per_dim_ - 1;
-  return static_cast<std::size_t>(x);
-}
-
-std::size_t LearnedGrid::cell_of(std::span<const double> p) const noexcept {
-  std::size_t idx = 0;
-  for (std::size_t d = 0; d < domain_.dims(); ++d)
-    idx = idx * cells_per_dim_ + cell_coord(p[d], d);
-  return idx;
-}
-
-namespace {
-
-std::size_t flatten_coords(std::span<const std::size_t> coords,
-                           std::size_t cells_per_dim) noexcept {
-  std::size_t idx = 0;
-  for (std::size_t d = 0; d < coords.size(); ++d)
-    idx = idx * cells_per_dim + coords[d];
-  return idx;
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> LearnedGrid::range_query(
-    const Rect& rect, GridQueryCost* cost) const {
-  std::vector<std::uint64_t> out;
-  if (points_.empty()) return out;
-  if (rect.dims() != dims())
-    throw std::invalid_argument("LearnedGrid::range_query: dims");
-  std::vector<std::size_t> lo(dims()), hi(dims());
-  for (std::size_t d = 0; d < dims(); ++d) {
-    lo[d] = cell_coord(rect.lo[d], d);
-    hi[d] = cell_coord(rect.hi[d], d);
-  }
-  for (detail::CoordIterator it(lo, hi); !it.done(); it.advance()) {
-    const auto cell_pts = cell(flatten_coords(it.coords(), cells_per_dim_));
-    if (cost) ++cost->cells_visited;
-    for (const std::uint32_t i : cell_pts) {
-      if (cost) ++cost->points_examined;
-      if (rect.contains(points_[i])) out.push_back(ids_[i]);
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> LearnedGrid::radius_query(
-    const Ball& ball, GridQueryCost* cost) const {
-  std::vector<std::uint64_t> out;
-  if (points_.empty()) return out;
-  if (ball.dims() != dims())
-    throw std::invalid_argument("LearnedGrid::radius_query: dims");
-  for (const auto& cand : radius_candidates(ball, cost))
-    out.push_back(cand.second);
-  return out;
-}
-
-std::vector<std::pair<double, std::uint64_t>> LearnedGrid::radius_candidates(
-    const Ball& ball, GridQueryCost* cost) const {
-  std::vector<std::pair<double, std::uint64_t>> out;
-  const Rect box = ball.bounding_box();
-  const double r2 = ball.radius * ball.radius;
-  std::vector<std::size_t> lo(dims()), hi(dims());
-  for (std::size_t d = 0; d < dims(); ++d) {
-    lo[d] = cell_coord(box.lo[d], d);
-    hi[d] = cell_coord(box.hi[d], d);
-  }
-  for (detail::CoordIterator it(lo, hi); !it.done(); it.advance()) {
-    const auto cell_pts = cell(flatten_coords(it.coords(), cells_per_dim_));
-    if (cost) ++cost->cells_visited;
-    for (const std::uint32_t i : cell_pts) {
-      if (cost) ++cost->points_examined;
-      const double d2 = squared_distance(ball.center, points_[i]);
-      if (d2 <= r2) out.emplace_back(d2, ids_[i]);
-    }
-  }
-  return out;
-}
-
-std::vector<std::pair<std::uint64_t, double>> LearnedGrid::knn(
-    std::span<const double> query, std::size_t k, GridQueryCost* cost) const {
-  std::vector<std::pair<std::uint64_t, double>> result;
-  if (points_.empty() || k == 0) return result;
-  if (query.size() != dims())
-    throw std::invalid_argument("LearnedGrid::knn: dims");
-
-  // Initial radius ~ the learned width of the query's own cell (the
-  // inverse CDF stretches where data is sparse and shrinks where it is
-  // dense — the adaptive-placement payoff).
-  double cell_width = 0.0;
-  for (std::size_t d = 0; d < dims(); ++d) {
-    const std::size_t c = cell_coord(query[d], d);
-    const double w =
-        cdfs_[d].inverse(static_cast<double>(c + 1) /
-                         static_cast<double>(cells_per_dim_)) -
-        cdfs_[d].inverse(static_cast<double>(c) /
-                         static_cast<double>(cells_per_dim_));
-    cell_width = std::max(cell_width, w);
-  }
-  double radius = std::max(cell_width, 1e-9);
-  // A ball of max_radius around the query covers the whole domain (even
-  // when the query sits far outside it); the final fallback below covers
-  // clamped outlier points the domain box never contained.
-  double far2 = 0.0;
-  for (std::size_t d = 0; d < dims(); ++d) {
-    const double w = std::max(std::abs(query[d] - domain_.lo[d]),
-                              std::abs(query[d] - domain_.hi[d]));
-    far2 += w * w;
-  }
-  const double max_radius = std::sqrt(far2) + std::max(cell_width, 1e-9);
-
-  for (;;) {
-    const Ball ball{Point(query.begin(), query.end()), radius};
-    auto ranked = radius_candidates(ball, cost);
-    const bool exhausted = radius >= max_radius;
-    if (ranked.size() >= k || exhausted) {
-      if (exhausted && ranked.size() < k) {
-        // Degenerate coverage (k > points in the whole domain ball, or
-        // outliers clamped into border cells): exact fallback over every
-        // point, so the result matches the tree's.
-        ranked.clear();
-        ranked.reserve(points_.size());
-        for (std::size_t i = 0; i < points_.size(); ++i)
-          ranked.emplace_back(squared_distance(query, points_[i]), ids_[i]);
-        if (cost) cost->points_examined += points_.size();
-      }
-      const std::size_t take = std::min(k, ranked.size());
-      std::partial_sort(ranked.begin(),
-                        ranked.begin() + static_cast<std::ptrdiff_t>(take),
-                        ranked.end());
-      result.reserve(take);
-      for (std::size_t i = 0; i < take; ++i)
-        result.emplace_back(ranked[i].second, std::sqrt(ranked[i].first));
-      return result;
-    }
-    radius *= 2.0;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <span>
-#include <sstream>
 
 #include "common/parallel.h"
 #include "common/primitives.h"
@@ -71,39 +70,96 @@ struct SlotFold {
   }
 };
 
-/// Per-node grid-build inputs, shared by the uniform and the learned grid
-/// caches so both structures see identical points, domains and cell counts.
-struct GridBuildInput {
-  std::vector<Point> pts;
-  Rect dom;
-  std::size_t cells = 2;
-};
-
-GridBuildInput grid_build_input(const Table& part,
-                                const std::vector<std::size_t>& cols) {
-  GridBuildInput in;
+/// The grid over `part`'s `cols`: its bounds padded on the upper edge, and
+/// ~rows^(1/d) / 2 cells per axis, capped to keep memory sane.
+GridIndex build_grid(const Table& part, const std::vector<std::size_t>& cols,
+                     CellPlacement placement) {
   // Column-at-a-time fill from contiguous spans (no per-row gather).
-  in.pts.assign(part.num_rows(), Point(cols.size()));
+  std::vector<Point> pts(part.num_rows(), Point(cols.size()));
   for (std::size_t c = 0; c < cols.size(); ++c) {
     const auto col = part.column(cols[c]);
-    for (std::size_t r = 0; r < part.num_rows(); ++r) in.pts[r][c] = col[r];
+    for (std::size_t r = 0; r < part.num_rows(); ++r) pts[r][c] = col[r];
   }
-  in.dom = part.num_rows() ? table_bounds(part, cols) : Rect{};
+  Rect dom = part.num_rows() ? table_bounds(part, cols) : Rect{};
   if (part.num_rows() == 0) {
-    in.dom.lo.assign(cols.size(), 0.0);
-    in.dom.hi.assign(cols.size(), 1.0);
+    dom.lo.assign(cols.size(), 0.0);
+    dom.hi.assign(cols.size(), 1.0);
   }
   // Pad the upper edge so maxima land inside the last cell.
   for (std::size_t i = 0; i < cols.size(); ++i)
-    in.dom.hi[i] = std::nextafter(in.dom.hi[i] + 1e-12,
-                                  std::numeric_limits<double>::max());
-  // Cells per dimension: ~rows^(1/d) capped to keep memory sane.
+    dom.hi[i] = std::nextafter(dom.hi[i] + 1e-12,
+                               std::numeric_limits<double>::max());
   const double per_dim = std::pow(
       std::max<double>(1.0, static_cast<double>(part.num_rows())),
       1.0 / static_cast<double>(cols.size()));
-  in.cells = std::clamp<std::size_t>(
+  const std::size_t cells = std::clamp<std::size_t>(
       static_cast<std::size_t>(per_dim / 2.0), 2, 32);
-  return in;
+  return GridIndex(std::move(pts), std::move(dom), cells, placement);
+}
+
+/// One shard's probe result, computed before the serial RPC replay.
+struct ProbeCell {
+  AggregateState agg;           // range / radius
+  std::vector<KnnCand> cands;   // kNN: local top-k with targets
+  std::uint64_t examined = 0;
+  double ms = 0.0;              // measured probe wall
+};
+
+/// A shard's local top k, (row, distance) ascending, as merge candidates
+/// carrying their targets.
+std::vector<KnnCand> knn_cands(
+    const std::vector<std::pair<std::uint64_t, double>>& nn, const Table& part,
+    const AnalyticalQuery& q) {
+  std::vector<KnnCand> cands;
+  cands.reserve(nn.size());
+  const TargetColumns tc(part, q);
+  for (const auto& [row, dist] : nn) {
+    const auto r = static_cast<std::size_t>(row);
+    cands.push_back(KnnCand{dist, tc.t_of(r), tc.u_of(r)});
+  }
+  return cands;
+}
+
+/// Probe of one shard's k-d tree. Range / radius fold during the tree walk
+/// over the slot-ordered target copies `t` / `u` (null = no such target).
+void probe_shard(const KdTree& tree, const double* t, const double* u,
+                 const Table& part, const AnalyticalQuery& q,
+                 ProbeCell& cell) {
+  KdQueryCost cost;
+  if (q.selection == SelectionType::kNearestNeighbors) {
+    cell.cands = knn_cands(tree.knn(q.knn_point, q.knn_k, &cost), part, q);
+  } else {
+    SlotFold fold{t, u, {}};
+    if (q.selection == SelectionType::kRange)
+      tree.visit_range(q.range, fold, &cost);
+    else
+      tree.visit_radius(q.ball, fold, &cost);
+    cell.agg = fold.agg;
+  }
+  cell.examined = cost.points_examined;
+}
+
+/// Probe of one shard's grid. Range / radius add each qualifying row's
+/// targets in the grid's visit order.
+void probe_shard(const GridIndex& grid, const Table& part,
+                 const AnalyticalQuery& q, ProbeCell& cell) {
+  GridQueryCost cost;
+  if (q.selection == SelectionType::kNearestNeighbors) {
+    cell.cands = knn_cands(grid.knn(q.knn_point, q.knn_k, &cost), part, q);
+  } else {
+    const TargetColumns tc(part, q);
+    AggregateState agg;
+    const auto fold = [&](std::uint64_t row) {
+      const auto r = static_cast<std::size_t>(row);
+      agg.add(tc.t_of(r), tc.u_of(r));
+    };
+    if (q.selection == SelectionType::kRange)
+      grid.visit_range(q.range, fold, &cost);
+    else
+      grid.visit_radius(q.ball, fold, &cost);
+    cell.agg = agg;
+  }
+  cell.examined = cost.points_examined;
 }
 
 }  // namespace
@@ -139,84 +195,50 @@ ExactExecutor::ExactExecutor(Cluster& cluster, std::string table_name,
 
 ExactExecutor::~ExactExecutor() = default;
 
-std::string ExactExecutor::colset_key(const std::vector<std::size_t>& cols) {
-  std::ostringstream os;
-  for (const auto c : cols) os << c << ',';
-  return os.str();
-}
-
-ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = index_cache_.find(key);
-  if (it != index_cache_.end()) return it->second;
+ExactExecutor::ShardIndexes& ExactExecutor::indexes_for(
+    ExecParadigm paradigm, const std::vector<std::size_t>& cols) {
+  for (ShardIndexes& idx : index_cache_)
+    if (idx.paradigm == paradigm && idx.cols == cols) return idx;
   Timer t;
-  NodeIndexes idx;
-  idx.per_node = build_kdtrees(cluster_.partitions(table_), cols);
+  ShardIndexes idx{paradigm, cols, {}, {}, {}};
+  if (paradigm == ExecParadigm::kCoordinatorIndexed) {
+    idx.trees = build_kdtrees(cluster_.partitions(table_), cols);
+  } else {
+    const CellPlacement placement = paradigm == ExecParadigm::kCoordinatorLearned
+                                        ? CellPlacement::kLearned
+                                        : CellPlacement::kUniform;
+    idx.grids.reserve(cluster_.num_nodes());
+    for (std::size_t n = 0; n < cluster_.num_nodes(); ++n)
+      idx.grids.push_back(build_grid(
+          cluster_.partition(table_, static_cast<NodeId>(n)), cols, placement));
+  }
   index_build_ms_ += t.elapsed_ms();
-  return index_cache_.emplace(key, std::move(idx)).first->second;
+  return index_cache_.emplace_back(std::move(idx));
 }
 
 const std::vector<std::vector<double>>& ExactExecutor::slot_targets(
-    NodeIndexes& idx, std::size_t col) {
+    ShardIndexes& idx, std::size_t col) {
   auto it = idx.slot_targets.find(col);
   if (it != idx.slot_targets.end()) return it->second;
   // A column copy, not a build: the time stays on the query that needs
   // it, so index_build_ms() keeps counting tree builds only. Like the
   // builds, the copies are allocated here and filled one node per task.
-  std::vector<std::vector<double>> per_node(idx.per_node.size());
+  std::vector<std::vector<double>> per_node(idx.trees.size());
   std::vector<std::span<const double>> src(per_node.size());
   for (std::size_t n = 0; n < per_node.size(); ++n) {
-    per_node[n].resize(idx.per_node[n].size());
+    per_node[n].resize(idx.trees[n].size());
     src[n] = cluster_.partition(table_, static_cast<NodeId>(n)).column(col);
   }
   ParallelFor(per_node.size(), [&](std::size_t n) {
-    const auto ids = idx.per_node[n].slot_ids();
+    const auto ids = idx.trees[n].slot_ids();
     for (std::size_t s = 0; s < ids.size(); ++s)
       per_node[n][s] = src[n][static_cast<std::size_t>(ids[s])];
   });
   return idx.slot_targets.emplace(col, std::move(per_node)).first->second;
 }
 
-const ExactExecutor::NodeGrids& ExactExecutor::grids_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = grid_cache_.find(key);
-  if (it != grid_cache_.end()) return it->second;
-  Timer t;
-  NodeGrids grids;
-  grids.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-    const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    GridBuildInput in = grid_build_input(part, cols);
-    grids.per_node.emplace_back(std::move(in.pts), std::move(in.dom),
-                                in.cells);
-  }
-  index_build_ms_ += t.elapsed_ms();
-  return grid_cache_.emplace(key, std::move(grids)).first->second;
-}
-
-const ExactExecutor::NodeLearnedGrids& ExactExecutor::learned_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = learned_cache_.find(key);
-  if (it != learned_cache_.end()) return it->second;
-  Timer t;
-  NodeLearnedGrids grids;
-  grids.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-    const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    GridBuildInput in = grid_build_input(part, cols);
-    grids.per_node.emplace_back(std::move(in.pts), std::move(in.dom),
-                                in.cells);
-  }
-  index_build_ms_ += t.elapsed_ms();
-  return learned_cache_.emplace(key, std::move(grids)).first->second;
-}
-
 const Rect& ExactExecutor::domain(const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = domain_cache_.find(key);
+  auto it = domain_cache_.find(cols);
   if (it != domain_cache_.end()) return it->second;
   // Fold every partition's non-NaN min/max (par::minmax gives {+inf, -inf}
   // for a partition with none, which adds nothing); a column with no
@@ -239,13 +261,11 @@ const Rect& ExactExecutor::domain(const std::vector<std::size_t>& cols) {
       bounds.hi[i] = 1.0;
     }
   }
-  return domain_cache_.emplace(key, std::move(bounds)).first->second;
+  return domain_cache_.emplace(cols, std::move(bounds)).first->second;
 }
 
 void ExactExecutor::invalidate_caches() {
   index_cache_.clear();
-  grid_cache_.clear();
-  learned_cache_.clear();
   domain_cache_.clear();
 }
 
@@ -272,18 +292,6 @@ ExactResult ExactExecutor::execute(const AnalyticalQuery& query,
   }();
   res.report.wall_ms = wall.elapsed_ms();
   return res;
-}
-
-AggregateState ExactExecutor::aggregate_rows(
-    const Table& part, const std::vector<std::uint64_t>& rows,
-    const AnalyticalQuery& q) const {
-  AggregateState agg;
-  const TargetColumns tc(part, q);
-  for (const auto r : rows) {
-    const auto i = static_cast<std::size_t>(r);
-    agg.add(tc.t_of(i), tc.u_of(i));
-  }
-  return agg;
 }
 
 AggregateState scan_aggregate(const Table& part, const AnalyticalQuery& q) {
@@ -380,72 +388,20 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
                                            ExecParadigm access,
                                            QueryDeadline* deadline) {
   ExactResult out;
-  const bool use_grid = access == ExecParadigm::kCoordinatorGrid;
-  const bool use_learned = access == ExecParadigm::kCoordinatorLearned;
-  NodeIndexes* kd =
-      (use_grid || use_learned) ? nullptr : &indexes_for(q.subspace_cols);
-  const NodeGrids* grid = use_grid ? &grids_for(q.subspace_cols) : nullptr;
-  const NodeLearnedGrids* learned =
-      use_learned ? &learned_for(q.subspace_cols) : nullptr;
-  // Uniform access wrappers over the three access structures (RT3.1).
-  const auto node_knn = [&](std::size_t n, std::span<const double> point,
-                            std::size_t k, std::uint64_t& examined) {
-    if (use_grid || use_learned) {
-      GridQueryCost cost;
-      auto nn = use_learned ? learned->per_node[n].knn(point, k, &cost)
-                            : grid->per_node[n].knn(point, k, &cost);
-      examined = cost.points_examined;
-      return nn;
-    }
-    KdQueryCost cost;
-    auto nn = kd->per_node[n].knn(point, k, &cost);
-    examined = cost.points_examined;
-    return nn;
-  };
-  // Range / radius probe of shard `n`, folded into its aggregate. The k-d
-  // path folds during the tree walk over slot-ordered target copies (built
-  // here, before any RPC, on first use); the grids select row ids, then
-  // gather.
-  const bool kd_fold = kd != nullptr &&
-                       q.selection != SelectionType::kNearestNeighbors;
+  ShardIndexes& idx = indexes_for(access, q.subspace_cols);
+  const bool knn = q.selection == SelectionType::kNearestNeighbors;
+  // The k-d range / radius fold reads slot-ordered target copies, built
+  // here, before any RPC, on first use.
+  const bool kd = access == ExecParadigm::kCoordinatorIndexed;
   const std::vector<std::vector<double>>* kd_t =
-      kd_fold && needs_target(q.analytic) ? &slot_targets(*kd, q.target_col)
-                                          : nullptr;
+      kd && !knn && needs_target(q.analytic) ? &slot_targets(idx, q.target_col)
+                                             : nullptr;
   const std::vector<std::vector<double>>* kd_u =
-      kd_fold && needs_second_target(q.analytic)
-          ? &slot_targets(*kd, q.target_col2)
+      kd && !knn && needs_second_target(q.analytic)
+          ? &slot_targets(idx, q.target_col2)
           : nullptr;
-  const auto node_aggregate = [&](std::size_t n, const Table& part,
-                                  std::uint64_t& examined) {
-    if (use_grid || use_learned) {
-      GridQueryCost cost;
-      std::vector<std::uint64_t> rows;
-      if (use_learned) {
-        rows = q.selection == SelectionType::kRange
-                   ? learned->per_node[n].range_query(q.range, &cost)
-                   : learned->per_node[n].radius_query(q.ball, &cost);
-      } else {
-        rows = q.selection == SelectionType::kRange
-                   ? grid->per_node[n].range_query(q.range, &cost)
-                   : grid->per_node[n].radius_query(q.ball, &cost);
-      }
-      examined = cost.points_examined;
-      return aggregate_rows(part, rows, q);
-    }
-    SlotFold fold;
-    if (kd_t != nullptr) fold.t = (*kd_t)[n].data();
-    if (kd_u != nullptr) fold.u = (*kd_u)[n].data();
-    KdQueryCost cost;
-    if (q.selection == SelectionType::kRange)
-      kd->per_node[n].visit_range(q.range, fold, &cost);
-    else
-      kd->per_node[n].visit_radius(q.ball, fold, &cost);
-    examined = cost.points_examined;
-    return fold.agg;
-  };
   // Range / radius: prune nodes by partition ranges when possible. kNN
   // asks every node for its local top-k. Empty partitions are never probed.
-  const bool knn = q.selection == SelectionType::kNearestNeighbors;
   std::vector<NodeId> shards;
   const auto& pspec = cluster_.partition_spec(table_);
   // Node pruning is only sound when the table is range-partitioned on one
@@ -475,30 +431,18 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
   // Every probe is a pure function of (query, shard) over immutable
   // indexes and slot-ordered targets, so all of them run as one parallel
   // region, one cell per shard, before the serial RPC replay below.
-  struct ProbeCell {
-    AggregateState agg;           // range / radius
-    std::vector<KnnCand> cands;   // kNN: local top-k with targets
-    std::uint64_t examined = 0;
-    double ms = 0.0;              // measured probe wall
-  };
   std::vector<ProbeCell> cells(shards.size());
   ParallelFor(shards.size(), [&](std::size_t i) {
     Timer t;
     const NodeId n = shards[i];
     const Table& part = cluster_.partition(table_, n);
-    ProbeCell& cell = cells[i];
-    if (knn) {
-      const auto nn = node_knn(n, q.knn_point, q.knn_k, cell.examined);
-      cell.cands.reserve(nn.size());
-      const TargetColumns tc(part, q);
-      for (const auto& [row, dist] : nn) {
-        const auto r = static_cast<std::size_t>(row);
-        cell.cands.push_back(KnnCand{dist, tc.t_of(r), tc.u_of(r)});
-      }
-    } else {
-      cell.agg = node_aggregate(n, part, cell.examined);
-    }
-    cell.ms = t.elapsed_ms();
+    if (kd)
+      probe_shard(idx.trees[n], kd_t != nullptr ? (*kd_t)[n].data() : nullptr,
+                  kd_u != nullptr ? (*kd_u)[n].data() : nullptr, part, q,
+                  cells[i]);
+    else
+      probe_shard(idx.grids[n], part, q, cells[i]);
+    cells[i].ms = t.elapsed_ms();
   });
 
   CohortSession session(cluster_, coordinator_);
@@ -553,17 +497,15 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
       total.merge(cell.agg);
   }
   if (knn) {
-    // The coordinator merges the local top-k lists to the global k.
-    const std::size_t take = std::min<std::size_t>(q.knn_k, merged.size());
+    // The coordinator merges the shards' local top-k runs (each ascending,
+    // NaN last) to the global k, ties to the lower shard: the MapReduce
+    // reduce's merge, so every paradigm keeps the same rows.
     total = session.local([&] {
-      std::partial_sort(merged.begin(),
-                        merged.begin() + static_cast<std::ptrdiff_t>(take),
-                        merged.end(), [](const KnnCand& a, const KnnCand& b) {
-                          return a.dist < b.dist;
-                        });
       AggregateState agg;
-      for (std::size_t i = 0; i < take; ++i)
-        agg.add(merged[i].t, merged[i].u);
+      visit_merged_runs(
+          std::span<const KnnCand>(merged), q.knn_k,
+          [](const KnnCand& c) { return distance_rank(c.dist); },
+          [&agg](const KnnCand& c) { agg.add(c.t, c.u); });
       return agg;
     });
   }

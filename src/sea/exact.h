@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -23,7 +25,6 @@
 #include "fault/outage.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
-#include "index/learned.h"
 #include "sea/aggregate.h"
 #include "sea/query.h"
 
@@ -33,7 +34,7 @@ enum class ExecParadigm {
   kMapReduce,
   kCoordinatorIndexed,  ///< per-node k-d trees
   kCoordinatorGrid,     ///< per-node uniform grids (RT3.1 alternative)
-  kCoordinatorLearned,  ///< per-node CDF-learned grids (exact, see learned.h)
+  kCoordinatorLearned,  ///< per-node grids with learned cell placement
 };
 
 const char* to_string(ExecParadigm p) noexcept;
@@ -83,27 +84,27 @@ class ExactExecutor {
   void invalidate_caches();
 
  private:
-  struct NodeIndexes {
-    std::vector<KdTree> per_node;
-    /// Target columns copied into each tree's slot order, keyed by column
-    /// and built on first use: the fused probe reads them contiguously.
+  /// One paradigm's per-node access structures over one column set: a k-d
+  /// tree per node (kCoordinatorIndexed) or a grid per node, uniform
+  /// (kCoordinatorGrid) or learned (kCoordinatorLearned).
+  struct ShardIndexes {
+    ExecParadigm paradigm;
+    std::vector<std::size_t> cols;
+    std::vector<KdTree> trees;
+    std::vector<GridIndex> grids;
+    /// k-d only: target columns copied into each tree's slot order, keyed
+    /// by column and built on first use: the fused probe reads them
+    /// contiguously.
     std::unordered_map<std::size_t, std::vector<std::vector<double>>>
         slot_targets;
   };
-  struct NodeGrids {
-    std::vector<GridIndex> per_node;
-  };
-  struct NodeLearnedGrids {
-    std::vector<LearnedGrid> per_node;
-  };
 
-  static std::string colset_key(const std::vector<std::size_t>& cols);
-  NodeIndexes& indexes_for(const std::vector<std::size_t>& cols);
-  /// Per-node slot-ordered copies of table column `col` for `idx`.
-  const std::vector<std::vector<double>>& slot_targets(NodeIndexes& idx,
+  /// The cached structures of (paradigm, cols), built on first use.
+  ShardIndexes& indexes_for(ExecParadigm paradigm,
+                            const std::vector<std::size_t>& cols);
+  /// Per-node slot-ordered copies of table column `col` for `idx`'s trees.
+  const std::vector<std::vector<double>>& slot_targets(ShardIndexes& idx,
                                                         std::size_t col);
-  const NodeGrids& grids_for(const std::vector<std::size_t>& cols);
-  const NodeLearnedGrids& learned_for(const std::vector<std::size_t>& cols);
 
   ExactResult execute_mapreduce(const AnalyticalQuery& query,
                                 QueryDeadline* deadline);
@@ -111,11 +112,6 @@ class ExactExecutor {
   /// structure (RT3.1): k-d tree, uniform grid, or learned grid.
   ExactResult execute_indexed(const AnalyticalQuery& query,
                               ExecParadigm access, QueryDeadline* deadline);
-
-  /// Accumulates the qualifying tuples `rows` (grid paths) of a partition.
-  AggregateState aggregate_rows(const Table& part,
-                                const std::vector<std::uint64_t>& rows,
-                                const AnalyticalQuery& q) const;
 
   /// Reusable MapReduce shuffle buffers (one per job key/value shape),
   /// kept warm across the executor's query stream — see MapReduceScratch.
@@ -125,10 +121,10 @@ class ExactExecutor {
   std::string table_;
   NodeId coordinator_;
   double index_build_ms_ = 0.0;
-  std::unordered_map<std::string, NodeIndexes> index_cache_;
-  std::unordered_map<std::string, NodeGrids> grid_cache_;
-  std::unordered_map<std::string, NodeLearnedGrids> learned_cache_;
-  std::unordered_map<std::string, Rect> domain_cache_;
+  /// One entry per (paradigm, columns) in use — a handful, searched in
+  /// order; a list, so entries stay put while others are added.
+  std::list<ShardIndexes> index_cache_;
+  std::map<std::vector<std::size_t>, Rect> domain_cache_;
   std::unique_ptr<MrScratch> mr_scratch_;
 };
 

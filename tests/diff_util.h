@@ -1,4 +1,4 @@
-// Differential-testing utilities for the learned-grid harness: adversarial
+// Differential-testing utilities for the grid-placement harness: adversarial
 // point sets (the distributions learned structures historically get wrong)
 // and canonicalizers/fingerprints so "byte-identical" is an EXPECT_EQ, not
 // a prose claim. Shared by test_learned_index.cpp,
@@ -13,7 +13,7 @@
 
 #include "common/rng.h"
 #include "data/point.h"
-#include "index/learned.h"
+#include "index/grid.h"
 
 namespace sea::testing {
 
@@ -112,8 +112,9 @@ inline std::vector<std::uint64_t> canon(std::vector<std::uint64_t> ids) {
 /// "byte-identical" comparisons.
 inline std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Bit-level fingerprint of a LearnedGrid: CSR layout plus every CDF knot.
-inline std::vector<std::uint64_t> fingerprint(const LearnedGrid& g) {
+/// Bit-level fingerprint of a learned-placement GridIndex: CSR layout plus
+/// every CDF knot.
+inline std::vector<std::uint64_t> fingerprint(const GridIndex& g) {
   std::vector<std::uint64_t> fp;
   fp.push_back(g.size());
   fp.push_back(g.num_cells());

@@ -208,6 +208,71 @@ TEST(ExactExecutor, NanCoordinatesNeverQualifyOnAnyParadigm) {
   }
 }
 
+// Every paradigm keeps the same kNN rows: each node's k smallest by
+// (distance, row), NaN distances last, merged with ties to the lower node
+// (the MapReduce reduce's stable-sort order). 4,000 rows on 50 lattice
+// points (80 copies each), round-robin over 8 nodes, put a tie behind
+// almost every answer; v = the row id, so a SUM names the rows it took.
+// The second table gives every 7th row a NaN x (every 14th a NaN y too).
+TEST(ExactExecutor, KnnTieRuleIsTheSameOnEveryParadigm) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::size_t kRows = 4000;
+  constexpr ExecParadigm kIndexed[] = {ExecParadigm::kCoordinatorIndexed,
+                                       ExecParadigm::kCoordinatorGrid,
+                                       ExecParadigm::kCoordinatorLearned};
+  for (const bool with_nan : {false, true}) {
+    std::vector<std::vector<double>> cols(3, std::vector<double>(kRows));
+    for (std::size_t i = 0; i < kRows; ++i) {
+      cols[0][i] = static_cast<double>(i % 10) / 10.0;
+      cols[1][i] = static_cast<double>(i % 50 / 10) / 5.0;
+      cols[2][i] = static_cast<double>(i);
+      if (with_nan && i % 7 == 3) cols[0][i] = kNaN;
+      if (with_nan && i % 14 == 3) cols[1][i] = kNaN;
+    }
+    const Table t =
+        Table::from_columns(Schema({"x", "y", "v"}), std::move(cols));
+    Cluster cluster = testing::make_cluster(t, "t", 8);
+    ExactExecutor exec(cluster, "t");
+    std::vector<Point> at;
+    for (std::size_t j = 0; j < 50; ++j)
+      at.push_back({static_cast<double>(j % 10) / 10.0,
+                    static_cast<double>(j / 10) / 5.0});
+    at.push_back({0.05, 0.1});   // equidistant from four lattice points
+    at.push_back({-1.0, 3.0});   // far outside the domain
+    for (const Point& p : at) {
+      for (const std::size_t k : {1, 3, 80, 81, 500, 3999, 4000}) {
+        AnalyticalQuery q;
+        q.selection = SelectionType::kNearestNeighbors;
+        q.analytic = AnalyticType::kSum;
+        q.subspace_cols = {0, 1};
+        q.target_col = 2;
+        q.knn_point = p;
+        q.knn_k = k;
+        SCOPED_TRACE(std::string(with_nan ? "nan " : "") + q.describe());
+        const ExactResult mr = exec.execute(q, ExecParadigm::kMapReduce);
+        EXPECT_EQ(mr.qualifying_tuples, k);
+        for (const ExecParadigm para : kIndexed) {
+          const ExactResult r = exec.execute(q, para);
+          SCOPED_TRACE(to_string(para));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(r.answer),
+                    std::bit_cast<std::uint64_t>(mr.answer));
+          EXPECT_EQ(std::memcmp(&r.state, &mr.state, sizeof(r.state)), 0);
+        }
+      }
+    }
+    // k = 1 at (0, 0): rows 0, 50, 100, ... sit there; node 0's first is
+    // row 0 (or, with NaNs, still row 0: 0 % 7 != 3).
+    AnalyticalQuery q;
+    q.selection = SelectionType::kNearestNeighbors;
+    q.analytic = AnalyticType::kSum;
+    q.subspace_cols = {0, 1};
+    q.target_col = 2;
+    q.knn_point = {0.0, 0.0};
+    q.knn_k = 1;
+    EXPECT_EQ(exec.execute(q, ExecParadigm::kCoordinatorIndexed).answer, 0.0);
+  }
+}
+
 // A NaN in a partition's first row leaves its domain alone: the uniform
 // grid over a 100 x 100 lattice (32 cells per axis) with x[0] = NaN
 // examines the 6 x 6 lattice points of the two cells per axis that a

@@ -266,7 +266,9 @@ struct Fnv {
 // radius_query return (in order), their KdQueryCost, and knn's output over
 // every data kind and dimension. The digest was captured from the
 // point-vector tree the flat layout replaced; the index-backed exact path
-// adds target values in exactly this order.
+// adds target values in exactly this order. knn's ids were re-pinned when
+// exact distance ties began to go to the lower id (its distances and every
+// cost counter kept their old bits).
 TEST(KdTree, WalkOrderAndCostPinned) {
   Fnv fnv;
   for (const std::size_t d : {1, 2, 3, 5, 8}) {
@@ -296,7 +298,7 @@ TEST(KdTree, WalkOrderAndCostPinned) {
       }
     }
   }
-  EXPECT_EQ(fnv.h, 0x1c2a1548e4f4bfe4ull) << std::hex << fnv.h;
+  EXPECT_EQ(fnv.h, 0xae3c67d3a4dfd201ull) << std::hex << fnv.h;
 }
 
 /// Folds the targets of every visited slot (subtree() declines, so slots
@@ -899,6 +901,26 @@ TEST(Grid, KnnSingleRowAndOverAsk) {
   GridIndex empty({}, domain, 4);
   const Point center{0.5, 0.5};
   EXPECT_TRUE(empty.knn(center, 3).empty());
+}
+
+// A NaN query coordinate puts every distance at NaN: both placements
+// return the k lowest ids at once, as the k-d tree does, instead of
+// doubling their search radius forever.
+TEST(Grid, KnnNanQueryReturnsLowestIds) {
+  const auto pts = random_points(50, 2, 913);
+  const Rect domain{{0, 0}, {1, 1}};
+  const Point q{std::numeric_limits<double>::quiet_NaN(), 0.5};
+  const auto tree = KdTree(pts).knn(q, 3);
+  for (const CellPlacement p : {CellPlacement::kUniform,
+                                CellPlacement::kLearned}) {
+    const auto got = GridIndex(pts, domain, 4, p).knn(q, 3);
+    ASSERT_EQ(got.size(), 3u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].first, i);
+      EXPECT_TRUE(std::isnan(got[i].second));
+      EXPECT_EQ(got[i].first, tree[i].first);
+    }
+  }
 }
 
 TEST(Grid, RangeQueryOutsideDomainIsEmpty) {

@@ -1,7 +1,8 @@
-// Differential-testing harness for the learned grid: LearnedGrid is driven
-// against GridIndex and brute force across 100-seed randomized workloads
-// and adversarial distributions, asserting identical result sets. "Exact
-// by construction" is proven here, not assumed.
+// Differential-testing harness for the grid's cell placements: the learned
+// placement is driven against the uniform one, the k-d tree and brute
+// force across 100-seed randomized workloads and adversarial
+// distributions, asserting identical result sets. "Exact by construction"
+// is proven here, not assumed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,6 @@
 #include "diff_util.h"
 #include "index/grid.h"
 #include "index/kdtree.h"
-#include "index/learned.h"
 #include "recovery/chaos.h"
 #include "sea/served.h"
 #include "test_util.h"
@@ -33,7 +33,7 @@ using testing::PointDist;
 constexpr std::uint64_t kSeeds = 100;
 
 // ---------------------------------------------------------------------------
-// LearnedGrid vs GridIndex vs brute force.
+// Learned vs uniform placement vs k-d tree vs brute force.
 // ---------------------------------------------------------------------------
 
 std::set<std::uint64_t> brute_range(const std::vector<Point>& pts,
@@ -64,7 +64,8 @@ TEST_P(LearnedGridDiff, MatchesGridAndBruteForce) {
     const Rect dom = domain_of(pts, dims);
     const std::size_t cells = 1 + seed % 8;
     const GridIndex grid(pts, dom, cells);
-    const LearnedGrid learned(pts, dom, cells);
+    const GridIndex learned(pts, dom, cells, CellPlacement::kLearned);
+    const KdTree tree(pts);
 
     Rng rng(seed ^ 0x9e37ULL);
     for (int trial = 0; trial < 12; ++trial) {
@@ -83,6 +84,7 @@ TEST_P(LearnedGridDiff, MatchesGridAndBruteForce) {
       ASSERT_EQ(std::set<std::uint64_t>(got.begin(), got.end()), truth);
       ASSERT_EQ(got.size(), truth.size());  // no duplicates
       ASSERT_EQ(got, canon(grid.range_query(r)));
+      ASSERT_EQ(got, canon(tree.range_query(r)));
 
       Ball ball;
       ball.center.resize(dims);
@@ -92,6 +94,7 @@ TEST_P(LearnedGridDiff, MatchesGridAndBruteForce) {
       const auto rgot = canon(learned.radius_query(ball));
       ASSERT_EQ(std::set<std::uint64_t>(rgot.begin(), rgot.end()), rtruth);
       ASSERT_EQ(rgot, canon(grid.radius_query(ball)));
+      ASSERT_EQ(rgot, canon(tree.radius_query(ball)));
     }
   }
 }
@@ -106,7 +109,7 @@ TEST_P(LearnedGridDiff, KnnMatchesGridExactlyAndTreeByDistance) {
     if (pts.empty()) continue;
     const Rect dom = domain_of(pts, dims);
     const GridIndex grid(pts, dom, 4);
-    const LearnedGrid learned(pts, dom, 4);
+    const GridIndex learned(pts, dom, 4, CellPlacement::kLearned);
     const KdTree tree(pts);
 
     Rng rng(seed ^ 0x51ABULL);
@@ -116,16 +119,14 @@ TEST_P(LearnedGridDiff, KnnMatchesGridExactlyAndTreeByDistance) {
       for (auto& v : q) v = rng.uniform(-2.0, 3.0);
       const std::size_t k = 1 + rng.uniform_index(12);
       const auto lg = learned.knn(q, k);
-      // Both grids order candidates by (distance², id): identical output,
-      // ids included.
+      // Both placements and the tree keep the k smallest by
+      // (distance_rank, id): identical output, ids and distance bits
+      // included, even on the constant and collinear sets' exact ties.
       ASSERT_EQ(lg, grid.knn(q, k));
-      // The tree may break exact distance ties by a different id; compare
-      // cardinality and distances only.
       const auto tr = tree.knn(q, k);
       ASSERT_EQ(lg.size(), tr.size());
       ASSERT_EQ(lg.size(), std::min(k, pts.size()));
-      for (std::size_t i = 0; i < lg.size(); ++i)
-        ASSERT_NEAR(lg[i].second, tr[i].second, 1e-9) << "i=" << i;
+      ASSERT_EQ(lg, tr);
     }
   }
 }
@@ -147,9 +148,9 @@ TEST(LearnedGrid, ThreadCountByteIdentity) {
   const auto pts = adversarial_points(PointDist::kClustered, 50'000, 3, seed);
   const Rect dom = domain_of(pts, 3);
   set_configured_threads(1);
-  const LearnedGrid serial(pts, dom, 16);
+  const GridIndex serial(pts, dom, 16, CellPlacement::kLearned);
   set_configured_threads(8);
-  const LearnedGrid parallel(pts, dom, 16);
+  const GridIndex parallel(pts, dom, 16, CellPlacement::kLearned);
   set_configured_threads(0);
   EXPECT_EQ(fingerprint(serial), fingerprint(parallel));
 }
@@ -160,7 +161,7 @@ TEST(LearnedGrid, AdaptiveCellsBeatUniformOnSkew) {
   const auto pts = adversarial_points(PointDist::kClustered, 20'000, 2, 11);
   const Rect dom = domain_of(pts, 2);
   const GridIndex grid(pts, dom, 16);
-  const LearnedGrid learned(pts, dom, 16);
+  const GridIndex learned(pts, dom, 16, CellPlacement::kLearned);
   const auto max_cell = [](std::span<const std::uint32_t> offsets) {
     std::uint32_t m = 0;
     for (std::size_t c = 0; c + 1 < offsets.size(); ++c)

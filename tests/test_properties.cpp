@@ -11,7 +11,7 @@
 //    registry and the per-loop view never drift apart.
 // Plus the learned-index invariant sweep (ISSUE PR9 satellite): per-seed
 // RMI segment bounds really bound observed lookup error, and both grid
-// families keep a valid CSR cell table (counts sum to the row count).
+// placements keep a valid CSR cell table (counts sum to the row count).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,7 +24,6 @@
 #include "diff_util.h"
 #include "exec/coordinator.h"
 #include "index/grid.h"
-#include "index/learned.h"
 #include "fault/breaker.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -236,9 +235,9 @@ TEST(IndexInvariantSweep, GridCellTablesAreValidCsrOnEverySeed) {
     const Rect domain = testing::domain_of(pts, dims);
     const std::size_t cells = 1 + rng.uniform_index(8);
     const GridIndex grid(pts, domain, cells);
-    const LearnedGrid learned(pts, domain, cells);
+    const GridIndex learned(pts, domain, cells, CellPlacement::kLearned);
 
-    // CSR validity for both families: monotone offsets bracketed by
+    // CSR validity for both placements: monotone offsets bracketed by
     // [0, n] — so the per-cell counts sum to exactly the row count.
     for (const auto offsets : {grid.cell_offsets(), learned.cell_offsets()}) {
       ASSERT_EQ(offsets.size(), grid.num_cells() + 1);
